@@ -8,6 +8,11 @@
 //! comparable because the runs are bit-identical. Per-rep raw rates and
 //! the median are reported next to the best, so a reader can tell a tight
 //! measurement from a lucky one.
+//!
+//! The fast-forward gate is deterministic: each scenario's skip count
+//! must reach, and its reply-network tick count stay within, the values
+//! committed in `BENCH_hotloop.json`. Wall-clock rates are reported, not
+//! gated — host noise decides them; the counters do not move with it.
 
 use std::time::Instant;
 
@@ -26,6 +31,27 @@ const COEXEC_SCALE: f64 = 0.2;
 /// one scheduler hiccup does not masquerade as a regression. Overridable
 /// via `HOTLOOP_REPS` (the tier-1 smoke runs a single rep).
 const DEFAULT_REPS: usize = 3;
+/// The committed results, whose counters are the deterministic gate's
+/// bounds.
+const COMMITTED: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_hotloop.json");
+
+/// `key`'s integer value inside `scenario`'s block of the hand-formatted
+/// results JSON (one `"key": value` per line).
+fn committed_counter(json: &str, scenario: &str, key: &str) -> Option<u64> {
+    let start = json.find(&format!("\"scenario\": \"{scenario}\""))?;
+    let block = &json[start + 1..];
+    let block = &block[..block.find("\"scenario\":").unwrap_or(block.len())];
+    let prefix = format!("\"{key}\":");
+    let line = block
+        .lines()
+        .map(str::trim)
+        .find(|l| l.starts_with(&prefix))?;
+    line[prefix.len()..]
+        .trim()
+        .trim_end_matches(',')
+        .parse()
+        .ok()
+}
 
 fn env_u64(name: &str, default: u64) -> u64 {
     std::env::var(name)
@@ -127,7 +153,7 @@ fn coexec_f3fs(ff: bool) -> u64 {
 /// configuration (fast-forward, stall memo, and burst retirement all
 /// on), so its merged step mix and fast-forward skip counters are also
 /// harvested here.
-fn profile_scenario(name: &str) -> (StageProfile, StepMix, u64, u64, u64) {
+fn profile_scenario(name: &str) -> (StageProfile, StepMix, u64, u64) {
     let mut sim = Simulator::new(
         config_for(name),
         match name {
@@ -168,13 +194,7 @@ fn profile_scenario(name: &str) -> (StageProfile, StepMix, u64, u64, u64) {
     }
     let prof = *sim.stage_profile().expect("profiling was enabled");
     let (skips, skipped) = sim.fast_forward_stats();
-    (
-        prof,
-        sim.merged_step_mix(),
-        skips,
-        skipped,
-        sim.gpu_cycles(),
-    )
+    (prof, sim.merged_step_mix(), skips, skipped)
 }
 
 /// `reps` timed passes: returns the (identical) simulated cycle count and
@@ -217,6 +237,8 @@ fn main() {
     // every scenario: the tier-1 smoke sets this far below any recorded
     // rate so only asymptotic regressions — not machine noise — trip it.
     let floor = env_u64("HOTLOOP_FLOOR", 0) as f64;
+    let committed =
+        std::fs::read_to_string(COMMITTED).unwrap_or_else(|e| panic!("read {COMMITTED}: {e}"));
     type Scenario = fn(bool) -> u64;
     let scenarios: [(&str, Scenario); 6] = [
         ("standalone_mem", standalone_mem),
@@ -248,24 +270,8 @@ fn main() {
             cycles_on, cycles_off,
             "{name}: fast-forward changed the simulated cycle count"
         );
-        let mut rate_on = best(&rates_on);
-        let mut rate_off = best(&rates_off);
-        // Where fast-forward actually skips cycles it must win; where it
-        // is structurally inert (its gate is one integer compare per
-        // cycle) on/off are the same work and only host noise separates
-        // them. Re-measure a few more pairs before judging either way.
-        let mut extra = 0;
-        while rate_on < rate_off && extra < 3 {
-            let (c, r) = measure(f, true, 1);
-            assert_eq!(c, cycles_on, "{name}: cycle count changed across reps");
-            rates_on.extend(r);
-            let (c, r) = measure(f, false, 1);
-            assert_eq!(c, cycles_off, "{name}: cycle count changed across reps");
-            rates_off.extend(r);
-            rate_on = best(&rates_on);
-            rate_off = best(&rates_off);
-            extra += 1;
-        }
+        let rate_on = best(&rates_on);
+        let rate_off = best(&rates_off);
         let speedup = rate_on / rate_off;
         if slowest.is_none_or(|(_, r)| rate_on < r) {
             slowest = Some((name, rate_on));
@@ -281,30 +287,30 @@ fn main() {
             fmt_rates(&rates_off),
             median(&rates_off)
         );
-        let (prof, mix, ff_skips, ff_skipped, total_cycles) = profile_scenario(name);
-        // Fast-forward regression gate. When the scenario gives the skip
-        // path real work (>5% of GPU cycles jumped over), on must beat
-        // off. When it does not — PIM-heavy scenarios keep the inflight
-        // table populated, so the skip gate rejects in O(1) every cycle —
-        // on and off do identical work and we only require parity within
-        // this host's run-to-run noise (KNOWN_FAILURES.md documents the
-        // ±40% single-CPU variance; 0.85 is well inside it).
-        let engaged = ff_skipped.saturating_mul(20) > total_cycles;
-        let floor_x = if engaged { 1.0 } else { 0.85 };
-        // HOTLOOP_FF_GATE=0 turns the on-vs-off assertion into a report.
-        // scripts/bench_compare.sh sets it: interleaved A/B runs load the
-        // host back-to-back, and a scheduler hiccup inside one rep would
-        // otherwise abort the whole measurement. Tier-1 leaves it on.
-        if env_u64("HOTLOOP_FF_GATE", 1) != 0 {
-            assert!(
-                speedup >= floor_x,
-                "{name}: fast-forward on is slower than off ({speedup:.3}x < {floor_x}x, \
-                 ff_on {rate_on:.0}/s vs ff_off {rate_off:.0}/s after {extra} retry pairs; \
-                 {ff_skipped} of {total_cycles} cycles skipped)"
-            );
-        } else if speedup < floor_x {
-            println!("  {:16} ff gate waived ({speedup:.3}x < {floor_x}x)", "");
-        }
+        let (prof, mix, ff_skips, ff_skipped) = profile_scenario(name);
+        // Fast-forward regression gate, on deterministic counters only:
+        // the skip path must take at least as many jumps, and the
+        // event-driven reply stage run at most as many ticks, as the
+        // committed results record. Either moving the wrong way means a
+        // probe is blocked or an idle summary went stale — the standalone
+        // MEM collapse this gate exists to catch. A scenario missing from
+        // the committed file fails too, so the gate cannot lapse.
+        let bound = |key: &str| {
+            committed_counter(&committed, name, key).unwrap_or_else(|| {
+                panic!("{name}: no committed `{key}` in {COMMITTED}; add the scenario's block")
+            })
+        };
+        let min_skips = bound("skips");
+        assert!(
+            ff_skips >= min_skips,
+            "{name}: fast-forward took {ff_skips} skips, fewer than the committed {min_skips}"
+        );
+        let max_reply_ticks = bound("ticks_reply_net");
+        assert!(
+            mix.ticks_reply_net <= max_reply_ticks,
+            "{name}: reply network ran {} ticks, more than the committed {max_reply_ticks}",
+            mix.ticks_reply_net
+        );
         let hit_rate = mix.burst_hit_rate().unwrap_or(0.0);
         if name.starts_with("standalone_pim") {
             // The homogeneous all-PIM scenario is exactly what burst

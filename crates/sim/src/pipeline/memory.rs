@@ -15,16 +15,20 @@
 //! (ownership moves to the worker and returns through a shared bin);
 //! with `threads == 1` it runs the exact serial loops.
 //!
-//! # Idle memoization
+//! # The active set
 //!
-//! The fast-forward probe ([`MemoryStage::next_activity_cycle`]) records
-//! which partitions reported no activity in `known_idle`. A partition an
-//! idle verdict was recorded for is skipped by both the probe and the
-//! stepping loops until something can make it busy again — which only
-//! the crossbar ejection path can, via [`MemoryStage::partition_mut`],
-//! which clears the memo. Draining (acks, replies) only removes work and
-//! never resurrects an idle partition, so those paths check emptiness
-//! through shared references first and leave memos intact.
+//! The stage keeps one `ActiveSet` of the partitions that may hold
+//! work, and every per-cycle loop — stepping, deferral checks, catch-up,
+//! the fast-forward probe, staged-eject counts, ack drains and the reply
+//! network's wire scan — walks it instead of every channel. A partition
+//! *leaves* when a visit that stepped or replayed it leaves it
+//! [`Partition::is_idle`] at the stage's DRAM service point; an idle
+//! partition is a fixed point of stepping (empty ports, quiet L2, idle
+//! controller), so skipping its visits is exact. It *re-enters* only
+//! where work can arrive: [`MemoryStage::partition_mut`] (the live eject
+//! path, unit tests) and [`MemoryStage::stage_eject`] (batched
+//! ejects). Draining (acks, replies) only removes work, so those paths
+//! never admit a partition.
 
 use std::sync::{Arc, Mutex};
 
@@ -51,6 +55,41 @@ enum StagePool {
     Owned(WorkerPool),
 }
 
+/// The channels whose partitions may hold work, as a bitset. 128 bits
+/// cover every legal channel index (the partitions' internal request-ID
+/// lanes impose the same bound).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct ActiveSet(u128);
+
+impl ActiveSet {
+    fn insert(&mut self, c: usize) {
+        self.0 |= 1 << c;
+    }
+
+    fn remove(&mut self, c: usize) {
+        self.0 &= !(1 << c);
+    }
+
+    /// Whether channel `c` is in the set.
+    pub fn contains(self, c: usize) -> bool {
+        self.0 >> c & 1 != 0
+    }
+
+    /// The channels in ascending order. The walk is over a snapshot
+    /// (`self` is a copy), so a loop may mutate the stage — the set
+    /// included — as it goes.
+    pub fn iter(self) -> impl Iterator<Item = usize> {
+        let mut bits = self.0;
+        std::iter::from_fn(move || {
+            (bits != 0).then(|| {
+                let c = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                c
+            })
+        })
+    }
+}
+
 /// All memory partitions, stepped together in both clock domains: the L2
 /// front halves on the GPU clock, the controllers and DRAM channels on
 /// the DRAM clock.
@@ -61,19 +100,19 @@ enum StagePool {
 #[derive(Debug)]
 pub struct MemoryStage {
     partitions: Vec<Option<Box<Partition>>>,
-    /// Partitions the fast-forward probe proved idle; skipped by probing
-    /// and stepping until [`MemoryStage::partition_mut`] clears the memo.
-    known_idle: Vec<bool>,
-    /// Whether any partition's reply wire was non-empty at the end of the
-    /// last [`MemoryStage::step_cycle_all`]. Replies are only *created*
-    /// inside that call (the L2 front half releases fill waiters and
-    /// drains hit delays there), so the flag is an exact emptiness
-    /// summary from then until the next mutation — which the reply
-    /// network's event-driven skip exploits: while `false` and the reply
-    /// crossbar is empty, the whole reply/completion tail of the cycle
-    /// provably has nothing to move. External drains (the reply network
-    /// popping wires) may leave the flag conservatively `true` for a
-    /// cycle; that costs one redundant scan, never a missed reply.
+    /// The partitions that may hold work (see the module docs). A
+    /// partition outside the set is idle, and every loop skips it.
+    active: ActiveSet,
+    /// Whether any partition's reply wire is non-empty — exact at all
+    /// times. Replies are only *created* inside
+    /// [`MemoryStage::step_cycle_all`] (the L2 front half releases fill
+    /// waiters and drains hit delays there; deferred visits never hold
+    /// MEM work, so replaying them creates none), which sets the flag,
+    /// and only *removed* by the reply network, which writes back what
+    /// it left behind ([`MemoryStage::set_replies_pending`]). The reply
+    /// network's event-driven skip and the fast-forward probe read it:
+    /// while `false` and the reply crossbar is empty, the whole
+    /// reply/completion tail of the cycle provably has nothing to move.
     replies_pending: bool,
     /// The next DRAM tick no stage visit (live or recorded) covers yet.
     /// Normally the clock coupler's next tick; while the production side
@@ -110,7 +149,7 @@ pub struct MemoryStage {
     /// Requests deposited through the staged (batched) eject path.
     requests_batched: u64,
     /// Per-partition replay batches: one per catch-up that replayed at
-    /// least one deferred stage visit on a partition not known idle.
+    /// least one deferred stage visit on an active partition.
     replay_batches: u64,
     /// Deferred stage visits replayed, summed over all batches. Divided
     /// by `replay_batches` this is the mean deferral window — the §4k/§4l
@@ -131,7 +170,7 @@ impl MemoryStage {
             partitions: (0..channels)
                 .map(|c| Some(Box::new(Partition::new(c, cfg, policy.build()))))
                 .collect(),
-            known_idle: vec![false; channels],
+            active: ActiveSet::default(),
             replies_pending: false,
             dram_upto: 0,
             mapper,
@@ -171,8 +210,8 @@ impl MemoryStage {
         self.threads
     }
 
-    /// The partition serving channel `c` (shared; leaves the idle memo
-    /// intact).
+    /// The partition serving channel `c` (shared; leaves the active set
+    /// as it is).
     pub fn get(&self, c: usize) -> &Partition {
         self.partitions[c].as_deref().expect("partition in slot")
     }
@@ -189,16 +228,24 @@ impl MemoryStage {
     /// (the crossbar eject path, test drivers) always observe the exact
     /// live state, and an arrival can never land *inside* a deferred
     /// span: the partition is caught up before the new work is handed
-    /// over. Also clears the partition's idle memo and marks its cached
-    /// bulk horizon stale, since the caller may mutate state the horizon
-    /// was derived from.
+    /// over. Also admits the partition to the active set and marks its
+    /// cached bulk horizon stale, since the caller may hand it work or
+    /// mutate state the horizon was derived from.
     pub fn partition_mut(&mut self, c: usize) -> &mut Partition {
         self.catch_up_partition(c);
-        self.known_idle[c] = false;
+        self.active.insert(c);
         self.stale[c] = true;
         self.partitions[c]
             .as_deref_mut()
             .expect("partition in slot")
+    }
+
+    /// Removes channel `c` from the active set if the visit that just
+    /// stepped or replayed it left it idle at the service point.
+    fn leave_if_idle(&mut self, c: usize) {
+        if self.get(c).is_idle(self.dram_upto) {
+            self.active.remove(c);
+        }
     }
 
     /// Replays partition `c`'s share of the deferred stage visits, if
@@ -211,8 +258,8 @@ impl MemoryStage {
         }
         self.synced[c] = n;
         self.stale[c] = true;
-        if self.known_idle[c] {
-            // A known-idle partition holds no work anywhere; every
+        if !self.active.contains(c) {
+            // An inactive partition holds no work anywhere; every
             // deferred visit is a provable no-op on it.
             return;
         }
@@ -222,13 +269,14 @@ impl MemoryStage {
             .as_deref_mut()
             .expect("partition in slot");
         p.replay_spans(&self.deferred[start..n], &self.mapper);
+        self.leave_if_idle(c);
     }
 
     /// Deposits a crossbar ejection into channel `c`'s staged-ingress
     /// schedule, for delivery at GPU cycle `gpu_at` (DESIGN.md §4l).
-    /// Clears the idle memo — the partition now provably has future
-    /// work — and marks its cached horizon stale, but performs *no*
-    /// catch-up: the staged arrival stays invisible to the partition
+    /// Admits the partition to the active set — it now provably has
+    /// future work — and marks its cached horizon stale, but performs
+    /// *no* catch-up: the staged arrival stays invisible to the partition
     /// until the stage visit for `gpu_at` is stepped or replayed.
     pub fn stage_eject(
         &mut self,
@@ -238,7 +286,21 @@ impl MemoryStage {
         gpu_at: Cycle,
         dram_at: Cycle,
     ) {
-        self.known_idle[c] = false;
+        if !self.active.contains(c) {
+            // An idle partition's deferred visits before the arrival's
+            // own are no-ops on it: its replay starts at that visit.
+            // Its sync point is never past that visit: partitions sync
+            // only after the request network flushes, and arbitration
+            // deferred after a flush grants later than every visit
+            // recorded before it.
+            let at = self.deferred.partition_point(|&(g, _, _)| g < gpu_at);
+            debug_assert!(
+                self.synced[c] <= at,
+                "idle partition synced past an arrival"
+            );
+            self.synced[c] = at;
+        }
+        self.active.insert(c);
         self.stale[c] = true;
         let p = self.partitions[c]
             .as_deref_mut()
@@ -255,10 +317,7 @@ impl MemoryStage {
     /// it never reports the network quiet while an eject batch is
     /// pending.
     pub fn staged_ejects(&self) -> usize {
-        self.partitions
-            .iter()
-            .map(|p| p.as_deref().expect("partition in slot").staged_len())
-            .sum()
+        self.active.iter().map(|c| self.get(c).staged_len()).sum()
     }
 
     /// Staged-but-undelivered crossbar ejections for channel `c` alone —
@@ -302,11 +361,14 @@ impl MemoryStage {
         )
     }
 
-    /// Discards fully-replayed history once every partition is current,
-    /// so the deferred list never grows unboundedly.
+    /// Discards fully-replayed history once every active partition is
+    /// current, so the deferred list never grows unboundedly. Inactive
+    /// partitions have nothing to replay; the callers flush the request
+    /// network first, so no ejection can still be staged into the
+    /// discarded visits.
     fn compact_deferred(&mut self) {
         let n = self.deferred.len();
-        if n > 0 && self.synced.iter().all(|&s| s == n) {
+        if n > 0 && self.active.iter().all(|c| self.synced[c] == n) {
             self.deferred.clear();
             self.synced.fill(0);
         }
@@ -317,12 +379,27 @@ impl MemoryStage {
         self.partitions.len()
     }
 
-    /// Whether any partition had replies queued at the end of the last
-    /// [`MemoryStage::step_cycle_all`] (conservatively `true` until the
-    /// next step after an external drain). O(1) — the reply network's
-    /// skip gate.
+    /// The channels whose partitions may hold work, ascending. Every
+    /// partition outside the set is idle.
+    pub(crate) fn active(&self) -> ActiveSet {
+        self.active
+    }
+
+    /// Whether any partition's reply wire is non-empty. Exact and O(1) —
+    /// the reply network's skip gate and part of the fast-forward probe.
     pub fn replies_pending(&self) -> bool {
+        debug_assert_eq!(
+            self.replies_pending,
+            self.iter().any(|p| !p.reply().is_empty()),
+            "reply summary out of sync with the wires"
+        );
         self.replies_pending
+    }
+
+    /// Records whether the reply network left any reply in the wires
+    /// after its drain — the only place replies leave them.
+    pub(crate) fn set_replies_pending(&mut self, pending: bool) {
+        self.replies_pending = pending;
     }
 
     /// Drains every partition's due PIM acks (completion cycle `<=
@@ -354,21 +431,24 @@ impl MemoryStage {
     /// first, like every other catch-up entry point.
     pub fn drain_acks_into(&mut self, limit: Cycle, out: &mut Vec<Request>) {
         let n = self.deferred.len();
-        for c in 0..self.partitions.len() {
+        for c in self.active.iter() {
             let start = self.synced[c];
             if start == n {
                 continue;
             }
             let f = self.deferred[start].1;
-            let p = self.partitions[c].as_deref().expect("partition in slot");
-            if p.mc.arrival_bound(f) > limit {
+            if self.get(c).mc.arrival_bound(f) > limit {
                 continue;
             }
             self.catch_up_partition(c);
         }
         self.compact_deferred();
-        for slot in &mut self.partitions {
-            let p = slot.as_deref_mut().expect("partition in slot");
+        // Acks pending keep a partition out of idle, so the active set
+        // covers every non-empty schedule.
+        for c in self.active.iter() {
+            let p = self.partitions[c]
+                .as_deref_mut()
+                .expect("partition in slot");
             if p.acks().has_due(limit) {
                 p.acks_mut().drain_due_into(limit, out);
             }
@@ -398,26 +478,27 @@ impl MemoryStage {
         // replay-then-step is exactly the eager order.
         debug_assert!(self.dram_upto <= first_dram, "DRAM service point ran ahead");
         self.dram_upto = first_dram + ticks;
+        // Only active partitions are visited; each leaves the set if its
+        // visit ends idle. Inactive partitions hold no replies, so the
+        // visited ones decide the reply summary.
         let n = self.deferred.len();
+        let mut replies = false;
         if self.threads <= 1 {
-            let mut replies = false;
-            for (c, slot) in self.partitions.iter_mut().enumerate() {
-                if self.known_idle[c] {
-                    self.synced[c] = n;
-                    continue;
-                }
+            for c in self.active.iter() {
                 let start = self.synced[c];
-                self.synced[c] = n;
                 self.stale[c] = true;
                 if start < n {
                     self.replay_batches += 1;
                     self.replayed_visits += (n - start) as u64;
                 }
-                let p = slot.as_deref_mut().expect("partition in slot");
+                let p = self.partitions[c]
+                    .as_deref_mut()
+                    .expect("partition in slot");
                 p.replay_spans(&self.deferred[start..n], mapper);
                 p.step_l2(now);
                 p.step_dram_span(first_dram, ticks, mapper);
                 replies |= !p.reply().is_empty();
+                self.leave_if_idle(c);
             }
             self.deferred.clear();
             self.synced.fill(0);
@@ -426,17 +507,14 @@ impl MemoryStage {
         }
         let spans: Arc<[(Cycle, Cycle, u64)]> = Arc::from(std::mem::take(&mut self.deferred));
         let mut jobs: Vec<Job> = Vec::with_capacity(self.partitions.len());
-        for (c, slot) in self.partitions.iter_mut().enumerate() {
-            let start = std::mem::replace(&mut self.synced[c], 0);
-            if self.known_idle[c] {
-                continue;
-            }
+        for c in self.active.iter() {
+            let start = self.synced[c];
             self.stale[c] = true;
             if start < spans.len() {
                 self.replay_batches += 1;
                 self.replayed_visits += (spans.len() - start) as u64;
             }
-            let mut p = slot.take().expect("partition in slot");
+            let mut p = self.partitions[c].take().expect("partition in slot");
             let bin = Arc::clone(&self.bin);
             let mapper = Arc::clone(mapper);
             let spans = Arc::clone(&spans);
@@ -447,6 +525,7 @@ impl MemoryStage {
                 bin.lock().expect("partition bin poisoned").push((c, p));
             }));
         }
+        self.synced.fill(0);
         match &self.pool {
             StagePool::Serial => unreachable!("threads > 1"),
             StagePool::Global => pimsim_pool::global().run_batch(jobs),
@@ -455,24 +534,19 @@ impl MemoryStage {
         let mut bin = self.bin.lock().expect("partition bin poisoned");
         for (c, p) in bin.drain(..) {
             debug_assert!(self.partitions[c].is_none(), "slot refilled twice");
+            replies |= !p.reply().is_empty();
+            if p.is_idle(self.dram_upto) {
+                self.active.remove(c);
+            }
             self.partitions[c] = Some(p);
         }
         drop(bin);
-        // Skipped (known-idle) partitions have empty reply wires by the
-        // memo's definition, so scanning the stepped ones suffices.
-        self.replies_pending = self.partitions.iter().enumerate().any(|(c, slot)| {
-            !self.known_idle[c]
-                && !slot
-                    .as_deref()
-                    .expect("partition in slot")
-                    .reply()
-                    .is_empty()
-        });
+        self.replies_pending = replies;
     }
 
     /// Replays the DRAM-tick span `[first, first + ticks)` on every
-    /// partition not known idle, advancing each controller's stats
-    /// integrals exactly as per-tick stepping would have.
+    /// active partition, advancing each controller's stats integrals
+    /// exactly as per-tick stepping would have.
     ///
     /// The fast-forward path calls this after jumping the clocks up to
     /// (but never past) the horizon [`MemoryStage::next_activity_cycle`]
@@ -492,13 +566,13 @@ impl MemoryStage {
             "bulk replay must start at the service point (catch up first)"
         );
         self.dram_upto = first + ticks;
-        for (c, slot) in self.partitions.iter_mut().enumerate() {
-            if self.known_idle[c] {
-                continue;
-            }
+        for c in self.active.iter() {
             self.stale[c] = true;
-            let p = slot.as_deref_mut().expect("partition in slot");
+            let p = self.partitions[c]
+                .as_deref_mut()
+                .expect("partition in slot");
             p.step_dram_span(first, ticks, mapper);
+            self.leave_if_idle(c);
         }
     }
 
@@ -523,17 +597,14 @@ impl MemoryStage {
     /// Whether the stage visit ending at DRAM tick `end` — its GPU-cycle
     /// L2 front halves included — can be deferred and replayed later with
     /// bit-identical state and no observable surfacing inside the window
-    /// (DESIGN.md §4k): every partition not known idle must report a bulk
+    /// (DESIGN.md §4k): every active partition must report a bulk
     /// horizon at or beyond `end`. Horizons are cached per partition
     /// until something can change them (stepping, replay, or a crossbar
     /// eject through [`MemoryStage::partition_mut`]); a deferral itself
     /// mutates nothing, so back-to-back quiet cycles re-check against
     /// cached values only.
     pub fn can_defer_through(&mut self, end: Cycle) -> bool {
-        for c in 0..self.partitions.len() {
-            if self.known_idle[c] {
-                continue;
-            }
+        for c in self.active.iter() {
             if self.stale[c] {
                 // The horizon is taken from this partition's own synced
                 // position: its state has not advanced past that point.
@@ -574,10 +645,7 @@ impl MemoryStage {
     /// visit stepped live.
     pub fn refresh_lagging_through(&mut self, end: Cycle) -> bool {
         let n = self.deferred.len();
-        for c in 0..self.partitions.len() {
-            if self.known_idle[c] {
-                continue;
-            }
+        for c in self.active.iter() {
             if self.stale[c] {
                 let from = match self.deferred.get(self.synced[c]) {
                     Some(&(_, first, _)) => first,
@@ -612,49 +680,71 @@ impl MemoryStage {
             self.deferred.is_empty() || target == self.dram_upto,
             "catch-up target must be the recorded history's end"
         );
-        for c in 0..self.partitions.len() {
+        for c in self.active.iter() {
             self.catch_up_partition(c);
         }
         self.compact_deferred();
     }
 
     /// The earliest DRAM cycle at or after `dram_now` at which any
-    /// partition has work, or `None` while all are idle.
-    ///
-    /// Memoizing: a partition that reports no activity is marked in
-    /// `known_idle` and not re-probed (nor re-stepped) until the
-    /// crossbar-ejection path touches it through
-    /// [`MemoryStage::partition_mut`].
-    pub fn next_activity_cycle(&mut self, dram_now: Cycle) -> Option<Cycle> {
-        let mut min: Option<Cycle> = None;
-        for (c, slot) in self.partitions.iter().enumerate() {
-            if self.known_idle[c] {
-                continue;
-            }
-            let p = slot.as_deref().expect("partition in slot");
-            match p.next_activity_cycle(dram_now) {
-                None => self.known_idle[c] = true,
-                Some(at) => min = Some(min.map_or(at, |m: Cycle| m.min(at))),
-            }
-        }
-        min
+    /// partition has work, or `None` while all are idle. Probes only the
+    /// active set: every partition outside it is idle.
+    pub fn next_activity_cycle(&self, dram_now: Cycle) -> Option<Cycle> {
+        debug_assert!(
+            (0..self.channel_count())
+                .all(|c| self.active.contains(c) || self.get(c).is_idle(dram_now)),
+            "a partition outside the active set holds work"
+        );
+        self.active
+            .iter()
+            .filter_map(|c| self.get(c).next_activity_cycle(dram_now))
+            .min()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::{Component, ReplyNet, ReplyNetCtx};
 
     fn stage(threads: usize) -> (MemoryStage, Arc<AddressMapper>) {
-        let cfg = SystemConfig::default();
+        stage_with(&SystemConfig::default(), threads)
+    }
+
+    fn stage_with(cfg: &SystemConfig, threads: usize) -> (MemoryStage, Arc<AddressMapper>) {
         let mapper = Arc::new(AddressMapper::new(
             &cfg.addr_map,
             &cfg.dram,
             cfg.dram_word_bytes(),
         ));
-        let mut m = MemoryStage::new(&cfg, PolicyKind::FrFcfs, Arc::clone(&mapper));
+        let mut m = MemoryStage::new(cfg, PolicyKind::FrFcfs, Arc::clone(&mapper));
         m.set_threads(threads);
         (m, mapper)
+    }
+
+    fn channel_of(mapper: &AddressMapper, addr: u64) -> usize {
+        mapper.decode(pimsim_types::PhysAddr(addr)).channel as usize
+    }
+
+    fn pim_load(id: u64, channel: usize) -> Request {
+        use pimsim_types::{AppId, PhysAddr, PimCommand, PimOpKind, RequestId, RequestKind};
+        let cmd = PimCommand {
+            op: PimOpKind::RfLoad,
+            channel: channel as u16,
+            row: 4,
+            col: 0,
+            rf_entry: 0,
+            block_start: true,
+            block_id: id,
+        };
+        Request::new(
+            RequestId(id),
+            AppId::PIM,
+            RequestKind::Pim(cmd),
+            PhysAddr(0),
+            8,
+            0,
+        )
     }
 
     fn mem_read(id: u64, addr: u64) -> Request {
@@ -716,37 +806,119 @@ mod tests {
     }
 
     #[test]
-    fn idle_memo_skips_and_partition_mut_revives() {
-        let (mut m, mapper) = stage(1);
-        assert_eq!(m.next_activity_cycle(0), None, "everything starts idle");
-        assert!(m.known_idle.iter().all(|&b| b), "all memos set");
-        // Touching a partition clears only its memo...
-        let c = mapper.decode(pimsim_types::PhysAddr(0)).channel as usize;
-        assert!(m.partition_mut(c).try_accept(0, mem_read(1, 0)));
-        assert!(!m.known_idle[c]);
-        assert_eq!(m.known_idle.iter().filter(|&&b| !b).count(), 1);
-        // ...and the probe sees its activity again.
-        assert_eq!(m.next_activity_cycle(7), Some(7));
+    fn active_set_drops_drained_partitions_and_readmits_on_work() {
+        for threads in [1, 4] {
+            let cfg = SystemConfig::default();
+            let (mut m, mapper) = stage_with(&cfg, threads);
+            let mut net = ReplyNet::new(&cfg);
+            let mut delivered = Vec::new();
+            assert_eq!(
+                m.active(),
+                ActiveSet::default(),
+                "a fresh stage holds no work"
+            );
+            assert_eq!(m.next_activity_cycle(0), None);
+
+            // `partition_mut` admits exactly the partition it hands out...
+            let c = channel_of(&mapper, 0);
+            assert!(m.partition_mut(c).try_accept(0, mem_read(1, 0)));
+            assert_eq!(m.active().iter().collect::<Vec<_>>(), [c]);
+            assert_eq!(m.next_activity_cycle(7), Some(7));
+            // ...and the visit that finds it drained removes it again.
+            let mut now = 0;
+            while m.active().contains(c) {
+                assert!(now < 400, "the read never drained (threads={threads})");
+                m.step_cycle_all(now, now, 1, &mapper);
+                let ctx = ReplyNetCtx {
+                    memory: &mut m,
+                    delivered: &mut delivered,
+                };
+                net.step(now, ctx);
+                now += 1;
+            }
+            assert_eq!(delivered.len(), 1, "threads={threads}");
+            assert_eq!(m.active(), ActiveSet::default(), "threads={threads}");
+            assert_eq!(m.next_activity_cycle(now), None);
+
+            // A staged eject admits its partition without a visit...
+            let d = (c + 1) % m.channel_count();
+            m.stage_eject(d, 0, pim_load(2, d), now, now);
+            assert_eq!(m.active().iter().collect::<Vec<_>>(), [d]);
+            assert_eq!(m.staged_ejects(), 1);
+            // ...and the partition leaves once its ack is drained.
+            let mut acks = Vec::new();
+            while m.active().contains(d) {
+                assert!(now < 800, "the PIM op never drained (threads={threads})");
+                m.step_cycle_all(now, now, 1, &mapper);
+                m.drain_acks_into(now, &mut acks);
+                now += 1;
+            }
+            assert_eq!(acks.len(), 1, "threads={threads}");
+            assert_eq!(m.staged_ejects(), 0);
+            assert_eq!(m.active(), ActiveSet::default(), "threads={threads}");
+        }
     }
 
     #[test]
     fn replies_pending_tracks_wire_contents() {
+        // A two-entry reply input queue backs replies up in the wires, so
+        // drains leave some behind and the memory stage defers visits
+        // while they wait — the window in which a summary recomputed
+        // only by stepping would go stale.
+        let mut cfg = SystemConfig::default();
+        cfg.noc.reply_queue_entries = 2;
         for threads in [1, 4] {
-            let (mut m, mapper) = stage(threads);
-            assert!(!m.replies_pending(), "fresh stage has no replies");
-            let c = mapper.decode(pimsim_types::PhysAddr(0)).channel as usize;
-            assert!(m.partition_mut(c).try_accept(0, mem_read(1, 0)));
-            let mut saw_pending = false;
-            for now in 0..400u64 {
-                m.step_cycle_all(now, now, 1, &mapper);
-                assert_eq!(
-                    m.replies_pending(),
-                    (0..m.channel_count()).any(|c| !m.get(c).reply().is_empty()),
-                    "flag must match wires right after a step (threads={threads}, now={now})"
-                );
-                saw_pending |= m.replies_pending();
+            let (mut m, mapper) = stage_with(&cfg, threads);
+            for c in 0..m.channel_count() {
+                m.partition_mut(c).mc.set_ack_batching(true);
             }
-            assert!(saw_pending, "the read must have produced a reply");
+            let mut net = ReplyNet::new(&cfg);
+            let mut delivered = Vec::new();
+            let wires = |m: &MemoryStage| m.iter().any(|p| !p.reply().is_empty());
+            assert!(!m.replies_pending, "fresh stage has no replies");
+            // Eight reads of one line: one fill releases eight waiters.
+            let c = channel_of(&mapper, 0);
+            for id in 0..8 {
+                assert!(m.partition_mut(c).try_accept(0, mem_read(id, 0)));
+            }
+            let (mut saw_pending, mut deferred_pending) = (false, false);
+            for now in 0..400u64 {
+                let deferred = m.can_defer_through(now + 1);
+                if deferred {
+                    m.defer_cycle(now, now, 1);
+                } else {
+                    m.step_cycle_all(now, now, 1, &mapper);
+                }
+                assert_eq!(
+                    m.replies_pending,
+                    wires(&m),
+                    "flag must match wires after a memory visit \
+                     (threads={threads}, now={now}, deferred={deferred})"
+                );
+                deferred_pending |= deferred && m.replies_pending;
+                saw_pending |= m.replies_pending;
+                if m.replies_pending() || net.has_traffic() {
+                    let ctx = ReplyNetCtx {
+                        memory: &mut m,
+                        delivered: &mut delivered,
+                    };
+                    net.step(now, ctx);
+                    assert_eq!(
+                        m.replies_pending,
+                        wires(&m),
+                        "flag must match wires after a reply-net drain \
+                         (threads={threads}, now={now})"
+                    );
+                }
+            }
+            m.catch_up_to(400);
+            assert!(saw_pending, "the reads must have produced replies");
+            assert!(
+                deferred_pending,
+                "some visit must have been deferred with replies waiting"
+            );
+            assert_eq!(delivered.len(), 8, "threads={threads}");
+            assert!(!m.replies_pending);
         }
     }
 

@@ -72,11 +72,15 @@ impl Component for ReplyNet {
 
     /// Injects as many buffered replies as each input port has credit
     /// for, then runs one arbitration cycle; ejection at an SM always
-    /// succeeds (SMs sink replies without backpressure).
+    /// succeeds (SMs sink replies without backpressure). Only active
+    /// partitions can hold replies, and this is the only place replies
+    /// leave the wires, so the scan writes the memory stage's reply
+    /// summary back exactly.
     fn step(&mut self, now: Cycle, ctx: ReplyNetCtx<'_>) {
-        for c in 0..ctx.memory.channel_count() {
+        let mut pending = false;
+        for c in ctx.memory.active().iter() {
             // Shared-ref emptiness check first: channels with nothing to
-            // inject are left untouched, so their idle memos survive.
+            // inject skip the catch-up `partition_mut` performs.
             if ctx.memory.get(c).reply().is_empty() {
                 continue;
             }
@@ -92,7 +96,9 @@ impl Component for ReplyNet {
                     break;
                 }
             }
+            pending |= !p.reply().is_empty();
         }
+        ctx.memory.set_replies_pending(pending);
         let delivered = ctx.delivered;
         self.xbar.step(now, |_sm, _vc, req| {
             delivered.push(*req);

@@ -530,9 +530,10 @@ impl Simulator {
 
         // 6. Reply network: inject from partitions, deliver to SMs.
         // Skipped when no reply is queued in any partition wire
-        // (`replies_pending`, exact as of this cycle's memory step) and
-        // none is in flight inside the crossbar — then injection,
-        // arbitration, and retirement would all be no-ops.
+        // (`replies_pending`, exact at all times: set by the memory step,
+        // written back by the reply network's own drain) and none is in
+        // flight inside the crossbar — then injection, arbitration, and
+        // retirement would all be no-ops.
         let reply_active =
             !self.event_delivery || self.memory.replies_pending() || self.reply_net.has_traffic();
         if reply_active {
@@ -620,11 +621,8 @@ impl Simulator {
             return false;
         }
         let dram_now = self.clock.dram_now();
-        // Replay any deferred production *before* the activity probe: the
-        // probe memoizes partitions as known-idle and the catch-up skips
-        // memoized ones, so probing first would lose the deferred span's
-        // stats integrals. (A deferred partition is mid plan/stall and
-        // never probes idle, but the ordering makes that a non-issue.)
+        // Replay any deferred production *before* the activity probe, so
+        // it reads every active partition's state at `dram_now`.
         self.memory.catch_up_to(dram_now);
         let mem_horizon = self.memory.next_activity_cycle(dram_now);
         if mem_horizon.is_some_and(|at| at <= dram_now) {

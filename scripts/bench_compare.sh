@@ -15,10 +15,13 @@
 #                                 a baseline built from an earlier commit
 #                                 in a scratch worktree)
 #   scenarios                     comma-separated hotloop scenario names
-#                                 (default standalone_pim). Every run
-#                                 executes all scenarios anyway, so extra
-#                                 names cost nothing — the rates are pulled
-#                                 from the same JSON.
+#                                 (default: every scenario the baseline's
+#                                 first run wrote). Every run executes all
+#                                 scenarios anyway, so reporting them all
+#                                 costs nothing — the rates are pulled from
+#                                 the same JSON — and a regression on one
+#                                 scenario cannot hide behind a win on
+#                                 another.
 #   pairs                         alternating A/B pairs, N (default 5)
 #   reps                          best-of reps per run, M (default 3)
 #
@@ -32,10 +35,9 @@ if [ $# -lt 2 ]; then
 fi
 A_BIN=$1
 B_BIN=$2
-SCENARIOS=${3:-standalone_pim}
+SCENARIOS=${3:-}
 PAIRS=${4:-5}
 REPS=${5:-3}
-IFS=',' read -r -a SCENARIO_LIST <<<"$SCENARIOS"
 
 for bin in "$A_BIN" "$B_BIN"; do
   if [ ! -x "$bin" ]; then
@@ -70,14 +72,25 @@ best_of() { # best_of <rates...>
   printf '%s\n' "$@" | sort -n | tail -1
 }
 
+scenarios_of() { # scenarios_of <json-file> — comma-separated, in run order
+  awk -F'"' '/"scenario":/ { printf "%s%s", sep, $4; sep = "," }' "$1"
+}
+
 run_one() { # run_one <bin> <out-json>
+  # HOTLOOP_FF_GATE=0 waives the wall-clock fast-forward assertion of
+  # older baseline binaries; current ones gate on counters only.
   HOTLOOP_REPS=$REPS HOTLOOP_FLOOR=0 HOTLOOP_FF_GATE=0 HOTLOOP_OUT=$2 "$1" >/dev/null
 }
 
-echo "interleaving $PAIRS pairs of best-of-$REPS runs, scenarios: ${SCENARIO_LIST[*]}"
+echo "interleaving $PAIRS pairs of best-of-$REPS runs"
 for i in $(seq 1 "$PAIRS"); do
   run_one "$A_BIN" "$TMPDIR_CMP/a_$i.json"
   run_one "$B_BIN" "$TMPDIR_CMP/b_$i.json"
+  if [ -z "${SCENARIO_LIST+set}" ]; then
+    SCENARIOS=${SCENARIOS:-$(scenarios_of "$TMPDIR_CMP/a_1.json")}
+    IFS=',' read -r -a SCENARIO_LIST <<<"$SCENARIOS"
+    echo "scenarios: ${SCENARIO_LIST[*]}"
+  fi
   line="  pair $i:"
   for sc in "${SCENARIO_LIST[@]}"; do
     a=$(rate_of "$TMPDIR_CMP/a_$i.json" "$sc")

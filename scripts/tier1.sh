@@ -48,9 +48,10 @@ cargo run -q --release -p pimsim-cli --bin pimsim -- \
 # scan creeping back into the busy path), not machine noise. The smoke
 # writes no JSON so the committed best-of-3 numbers are preserved.
 # The hotloop binary itself also fails the smoke if burst retirement
-# disengages (zero burst hit rate on standalone_pim), if fast-forward
-# regresses (DESIGN.md §4h), or if event-driven completion delivery
-# disengages: on standalone_pim the reply-net + completion stages must
+# disengages (zero burst hit rate on standalone_pim), if any scenario
+# takes fewer fast-forward skips or runs more reply-network ticks than
+# BENCH_hotloop.json records (DESIGN.md §4h), or if event-driven
+# completion delivery disengages: on standalone_pim the reply-net + completion stages must
 # run at least 5x fewer ticks than the eager 2-ticks-per-stepped-cycle
 # baseline (DESIGN.md §4i), or if retire-time completion batching
 # disengages: on both standalone PIM scenarios (HBM and lp5x:ranks=4)
@@ -60,6 +61,13 @@ cargo run -q --release -p pimsim-cli --bin pimsim -- \
 # immune to host noise.
 HOTLOOP_REPS=1 HOTLOOP_FLOOR=25000 HOTLOOP_OUT="" \
   cargo run -q --release -p pimsim-bench --bin hotloop
+
+# pimbench (pimbench/README.md) is a package of its own, outside the
+# workspace: build and test it here so a change to a public API it
+# drives cannot break it unnoticed, and check one sample of every
+# workload against the fingerprints pinned for seed 0.
+cargo test -q --offline --manifest-path pimbench/Cargo.toml
+cargo run -q --release --offline --manifest-path pimbench/Cargo.toml -- --verify --seed 0
 
 # Opt-in slow pass: the two #[ignore]d long-horizon experiment tests
 # (full QKV collaborative run, PIM-corunner interference sweep). They

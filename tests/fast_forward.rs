@@ -8,7 +8,7 @@
 use pim_coscheduling::core::policy::PolicyKind;
 use pim_coscheduling::core::McStats;
 use pim_coscheduling::sim::experiments::sweep::parallel_map;
-use pim_coscheduling::sim::Runner;
+use pim_coscheduling::sim::{KernelModel, Runner, Simulator};
 use pim_coscheduling::types::{SystemConfig, VcMode};
 use pim_coscheduling::workloads::{
     gpu_kernel, pim_kernel, pim_suite::PimBenchmark, rodinia::GpuBenchmark,
@@ -382,6 +382,37 @@ fn eject_batching_matches_per_tick_oracle() {
                 assert_mc_identical(&got.mc, &eager.mc, &ctx);
             }
         }
+    }
+}
+
+/// Regression pin for the standalone-MEM fast-forward collapse: a
+/// compute-bound MEM kernel (G10 on 8 SMs) spends most of its time with
+/// nothing in flight, so the skip path must engage — and because the
+/// memory stage's reply summary and active set are exact, the probe must
+/// see the same quiet spans whether or not the batching layers defer
+/// memory visits and arbitration cycles. A stale summary (true for a
+/// whole deferral window after the reply network drained the wires)
+/// blocked almost every probe with batching on and none with it off.
+#[test]
+fn mem_sparse_fast_forward_is_batching_independent() {
+    let run = |acks: bool, ejects: bool| {
+        let mut sim = Simulator::new(SystemConfig::default(), PolicyKind::FrFcfs);
+        sim.set_ack_batching(acks);
+        sim.set_eject_batching(ejects);
+        let k = gpu_kernel(GpuBenchmark(10), 8, 0.05);
+        let slots = k.num_slots();
+        sim.mount(Box::new(k), (0..slots).collect(), false, false);
+        let cycles = sim.run_until_all_first_done(BUDGET).expect("finishes");
+        (cycles, sim.fast_forward_stats())
+    };
+    let eager = run(false, false);
+    assert!(eager.1 .0 > 0, "the skip path never engaged: {eager:?}");
+    for (acks, ejects) in [(true, true), (true, false), (false, true)] {
+        assert_eq!(
+            run(acks, ejects),
+            eager,
+            "(cycles, (skips, skipped cycles)) with acks={acks} ejects={ejects}"
+        );
     }
 }
 
