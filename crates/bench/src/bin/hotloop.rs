@@ -11,8 +11,10 @@
 //!
 //! The fast-forward gate is deterministic: each scenario's skip count
 //! must reach, and its reply-network tick count stay within, the values
-//! committed in `BENCH_hotloop.json`. Wall-clock rates are reported, not
-//! gated — host noise decides them; the counters do not move with it.
+//! committed in `BENCH_hotloop.json`, and so must the controllers' step
+//! mix (full steps at most, memo replays, plan-retired cycles and burst
+//! plans at least the committed counts). Wall-clock rates are reported,
+//! not gated — host noise decides them; the counters do not move with it.
 
 use std::time::Instant;
 
@@ -311,6 +313,27 @@ fn main() {
             "{name}: reply network ran {} ticks, more than the committed {max_reply_ticks}",
             mix.ticks_reply_net
         );
+        // The controller's step mix, gated the same way: no more full
+        // scheduling steps, and no fewer memo-replayed or plan-retired
+        // cycles or burst plans, than committed. Work done inside a full
+        // step may get cheaper; the mix itself must not move.
+        let max_full = bound("full_steps");
+        assert!(
+            mix.full_steps <= max_full,
+            "{name}: controllers ran {} full steps, more than the committed {max_full}",
+            mix.full_steps
+        );
+        for (key, got) in [
+            ("memo_replayed", mix.memo_replayed),
+            ("burst_retired", mix.burst_retired),
+            ("bursts_planned", mix.bursts_planned),
+        ] {
+            let min = bound(key);
+            assert!(
+                got >= min,
+                "{name}: {key} = {got}, fewer than the committed {min}"
+            );
+        }
         let hit_rate = mix.burst_hit_rate().unwrap_or(0.0);
         if name.starts_with("standalone_pim") {
             // The homogeneous all-PIM scenario is exactly what burst

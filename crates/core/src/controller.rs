@@ -15,7 +15,8 @@ use pimsim_types::{
     Cycle, DecodedAddr, Mode, PagePolicy, PimOpKind, Request, RequestKind, SystemConfig,
 };
 
-use crate::policy::{PolicyView, SchedulePolicy};
+use crate::mem_index::{key_age, key_bank, rank_key, MAX_BANKS};
+use crate::policy::SchedulePolicy;
 use crate::queue::{McQueues, QueuedRequest};
 
 /// A serviced request leaving the controller.
@@ -297,13 +298,13 @@ pub struct MemoryController {
     /// Rows open at the last MEM→PIM switch; used to attribute reopened
     /// rows to the switch (Figure 10b).
     rows_at_switch: Vec<Option<u32>>,
-    /// Scratch: open row per bank, rebuilt each cycle for the policy view.
+    /// Open row per bank as the policy view and the MEM candidate index
+    /// last saw it; rebuilt when the channel's row state moves.
     open_rows: Vec<Option<u32>>,
-    /// Scratch for [`MemoryController::issue_mem`]: best candidate per
-    /// bank, reused across cycles so the hot loop allocates nothing.
-    scratch_best: Vec<Option<(u32, u64, usize, bool)>>,
-    /// Scratch for [`MemoryController::issue_mem`]: bank issue order.
-    scratch_order: Vec<(u32, u64, usize)>,
+    /// Scratch for [`MemoryController::issue_mem`]: the banks' rank keys
+    /// in issue order, reused across cycles so the hot loop allocates
+    /// nothing.
+    scratch_order: Vec<u64>,
     page_policy: PagePolicy,
     /// Stall memo: cycles strictly before this are replayed by
     /// [`MemoryController::replay_cycle`] in O(1) — the arming full step
@@ -384,8 +385,17 @@ pub struct MemoryController {
 
 impl MemoryController {
     /// Creates a controller for one channel.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the channel has more than 64 banks (the width of the
+    /// controller's bank masks; `SystemConfig::validate` rejects those).
     pub fn new(cfg: &SystemConfig, policy: Box<dyn SchedulePolicy>) -> Self {
         let banks = cfg.dram.banks;
+        assert!(
+            banks <= MAX_BANKS,
+            "dram.banks = {banks}: the controller's bank masks cover at most {MAX_BANKS} banks"
+        );
         let rf_per_bank = cfg.dram.pim_rf_entries * cfg.dram.pim_fus_per_channel / cfg.dram.banks;
         MemoryController {
             queues: McQueues::new(cfg.mc.mem_q_entries, cfg.mc.pim_q_entries),
@@ -400,7 +410,6 @@ impl MemoryController {
             completions: BinaryHeap::new(),
             rows_at_switch: vec![None; banks],
             open_rows: vec![None; banks],
-            scratch_best: vec![None; banks],
             scratch_order: Vec::with_capacity(banks),
             page_policy: cfg.mc.page_policy,
             stall_until: 0,
@@ -731,15 +740,9 @@ impl MemoryController {
         }
 
         // 2. Consult the policy.
-        self.refresh_open_rows();
+        self.refresh_view();
         let desired = {
-            let view = PolicyView {
-                now,
-                mode: self.mode,
-                mem: self.queues.mem(),
-                pim: self.queues.pim(),
-                open_rows: &self.open_rows,
-            };
+            let view = self.queues.policy_view(now, self.mode, &self.open_rows);
             self.policy.desired_mode(&view)
         };
         if desired != self.mode {
@@ -812,7 +815,7 @@ impl MemoryController {
         let n = self.channel.num_banks();
         let mut qmask = self.queues.mem_bank_mask();
         if self.queues.pim_len() > 0 {
-            qmask |= (1u64 << n) - 1;
+            qmask |= all_banks(n);
         }
         self.stall_qmask = qmask;
         self.stall_busy.clear();
@@ -1053,7 +1056,7 @@ impl MemoryController {
         let n = self.channel.num_banks();
         let mut mask = self.queues.mem_bank_mask();
         if self.queues.pim_len() > 0 {
-            mask |= (1u64 << n) - 1;
+            mask |= all_banks(n);
         }
         for b in 0..n {
             if self.channel.bank_busy(b, now) {
@@ -1067,15 +1070,23 @@ impl MemoryController {
         }
     }
 
-    fn refresh_open_rows(&mut self) {
+    /// Brings the policy-facing state up to date: the open-row view
+    /// (marking the candidate-index banks whose row moved) and then the
+    /// MEM candidate index itself.
+    fn refresh_view(&mut self) {
         let epoch = self.channel.row_epoch();
-        if epoch == self.open_rows_epoch {
-            return;
+        if epoch != self.open_rows_epoch {
+            self.open_rows_epoch = epoch;
+            let mut moved = 0u64;
+            for (b, seen) in self.open_rows.iter_mut().enumerate() {
+                let row = self.channel.open_row(b);
+                moved |= u64::from(*seen != row) << b;
+                *seen = row;
+            }
+            self.queues.mark_mem_dirty(moved);
         }
-        self.open_rows_epoch = epoch;
-        for b in 0..self.channel.num_banks() {
-            self.open_rows[b] = self.channel.open_row(b);
-        }
+        self.queues
+            .sync_mem_index(self.policy.as_ref(), &self.open_rows);
     }
 
     fn begin_switch(&mut self, target: Mode, now: Cycle) {
@@ -1102,8 +1113,10 @@ impl MemoryController {
         self.policy.on_switch_complete(sw.target, now);
     }
 
-    /// MEM-mode issue: walk banks, compute the best (class, age) candidate
-    /// action per bank, then issue the globally best action that is legal.
+    /// MEM-mode issue: rank the banks by their best `(class, age)`
+    /// candidate (cached per bank by the MEM candidate index, DESIGN.md
+    /// §4g), then issue the command of the best-ranked bank whose command
+    /// is legal now.
     ///
     /// Returns `None` when a command issued, else `Some(c)` where `c` is
     /// the earliest cycle any current candidate's chosen command becomes
@@ -1115,99 +1128,47 @@ impl MemoryController {
         if self.queues.mem_len() == 0 {
             return Some(Cycle::MAX);
         }
-        self.refresh_open_rows();
-        let n_banks = self.channel.num_banks();
-        // Best candidate per bank: (class, age, queue index, is_hit).
-        // Borrowed out of self so the issue loop below can mutate the
-        // channel and queues; restored at the end (no per-cycle allocation).
-        let mut best = std::mem::take(&mut self.scratch_best);
-        best.clear();
-        best.resize(n_banks, None);
-        {
-            let view = PolicyView {
-                now,
-                mode: self.mode,
-                mem: self.queues.mem(),
-                pim: self.queues.pim(),
-                open_rows: &self.open_rows,
-            };
-            for (idx, q) in view.mem.iter().enumerate() {
-                let bank = q.decoded.bank as usize;
-                if self.policy.bank_masked(bank) {
-                    // The policy's switch logic has stalled this bank
-                    // (FR-FCFS conflict bit) — issue nothing for it.
-                    continue;
-                }
-                let hit = self.open_rows[bank] == Some(q.decoded.row);
-                let class = self.policy.mem_class(q, hit, &view);
-                let cand = (class, q.age, idx, hit);
-                if best[bank].is_none_or(|b| (cand.0, cand.1) < (b.0, b.1)) {
-                    best[bank] = Some(cand);
-                }
-            }
-        }
-        // Rank banks by their best candidate and issue the first legal
-        // command for the best-ranked serviceable one.
+        // `desired_mode` may have moved the policy's class table.
+        self.refresh_view();
+        // Banks the policy's switch logic has stalled (FR-FCFS conflict
+        // bits) issue nothing.
+        let masked = self.policy.masked_banks();
         let mut order = std::mem::take(&mut self.scratch_order);
-        order.clear();
-        order.extend(
-            best.iter()
-                .enumerate()
-                .filter_map(|(bank, c)| c.map(|(class, age, _, _)| (class, age, bank))),
+        self.queues.mem_index().ranked(masked, &mut order);
+        debug_assert_eq!(
+            self.indexed_candidates(&order),
+            self.scanned_candidates(masked),
+            "MEM candidate index diverged from a full queue scan"
         );
-        order.sort_unstable();
         let mut earliest = Cycle::MAX;
         let mut issued = false;
-        'banks: for &(_, _, bank) in &order {
-            let (_, _, idx, hit) = best[bank].expect("ranked banks have candidates");
-            let q = self.queues.mem()[idx];
-            let cmd = if hit {
-                let closed = self.page_policy == PagePolicy::Closed;
-                match (q.req.kind, closed) {
-                    (RequestKind::MemRead, false) => DramCommand::Read { bank },
-                    (RequestKind::MemRead, true) => DramCommand::ReadAuto { bank },
-                    (RequestKind::MemWrite, false) => DramCommand::Write { bank },
-                    (RequestKind::MemWrite, true) => DramCommand::WriteAuto { bank },
-                    (RequestKind::Pim(_), _) => unreachable!("PIM in MEM queue"),
+        for &key in &order {
+            let bank = key_bank(key);
+            let c = self.queues.mem_index().candidate(bank);
+            let cmd = if c.hit {
+                match (c.write, self.page_policy == PagePolicy::Closed) {
+                    (false, false) => DramCommand::Read { bank },
+                    (false, true) => DramCommand::ReadAuto { bank },
+                    (true, false) => DramCommand::Write { bank },
+                    (true, true) => DramCommand::WriteAuto { bank },
                 }
             } else if self.open_rows[bank].is_some() {
                 DramCommand::Pre { bank }
             } else {
-                DramCommand::Act {
-                    bank,
-                    row: q.decoded.row,
-                }
+                DramCommand::Act { bank, row: c.row }
             };
-            if self.channel.can_issue(cmd, now) {
-                match cmd {
-                    DramCommand::Act { row, .. } => {
-                        self.channel.issue(cmd, now);
-                        self.note_mem_act(idx, bank, row);
-                    }
-                    DramCommand::Pre { .. } => {
-                        self.channel.issue(cmd, now);
-                    }
-                    _ => {
-                        let done = self.channel.issue(cmd, now).expect("column command");
-                        let q = self.queues.remove_mem(idx);
-                        self.note_mem_issued(&q, now);
-                        self.stats
-                            .mem_latency
-                            .record(done.saturating_sub(q.arrived));
-                        self.completions.push(Completion {
-                            req: q.req,
-                            at: done,
-                        });
-                    }
+            // Legal now iff its earliest issue cycle is now (the contract
+            // `earliest_issue_matches_brute_force_scan` pins).
+            match self.channel.earliest_issue(cmd, now) {
+                Some(at) if at == now => {
+                    self.issue_mem_command(cmd, key_age(key), now);
+                    issued = true;
+                    break;
                 }
-                issued = true;
-                break 'banks;
-            }
-            if let Some(at) = self.channel.earliest_issue(cmd, now) {
-                earliest = earliest.min(at);
+                Some(at) => earliest = earliest.min(at),
+                None => {}
             }
         }
-        self.scratch_best = best;
         self.scratch_order = order;
         if issued {
             None
@@ -1216,7 +1177,67 @@ impl MemoryController {
         }
     }
 
-    fn note_mem_act(&mut self, idx: usize, bank: usize, row: u32) {
+    /// Issues `cmd`, chosen for the queued MEM request of age `age`.
+    fn issue_mem_command(&mut self, cmd: DramCommand, age: u64, now: Cycle) {
+        match cmd {
+            DramCommand::Act { bank, row } => {
+                self.channel.issue(cmd, now);
+                self.note_mem_act(age, bank, row);
+            }
+            DramCommand::Pre { .. } => {
+                self.channel.issue(cmd, now);
+            }
+            _ => {
+                let done = self.channel.issue(cmd, now).expect("column command");
+                let q = self.queues.remove_mem(self.queues.mem_position(age));
+                self.note_mem_issued(&q, now);
+                self.stats
+                    .mem_latency
+                    .record(done.saturating_sub(q.arrived));
+                self.completions.push(Completion {
+                    req: q.req,
+                    at: done,
+                });
+            }
+        }
+    }
+
+    /// The ranked candidates as the index caches them: `(rank key, row,
+    /// hit, write)`, best first.
+    fn indexed_candidates(&self, order: &[u64]) -> Vec<(u64, u32, bool, bool)> {
+        order
+            .iter()
+            .map(|&key| {
+                let c = self.queues.mem_index().candidate(key_bank(key));
+                (c.key, c.row, c.hit, c.write)
+            })
+            .collect()
+    }
+
+    /// The same list from a full scan of the MEM queue, one policy call
+    /// per entry: the reference the candidate index is cross-checked
+    /// against in debug builds.
+    fn scanned_candidates(&self, masked: u64) -> Vec<(u64, u32, bool, bool)> {
+        let mut best: Vec<Option<(u64, u32, bool, bool)>> = vec![None; self.channel.num_banks()];
+        for q in self.queues.mem() {
+            let bank = q.decoded.bank as usize;
+            if masked >> bank & 1 == 1 {
+                continue;
+            }
+            let hit = self.open_rows[bank] == Some(q.decoded.row);
+            let key = rank_key(self.policy.mem_class(q.req.app, hit), q.age, bank);
+            if best[bank].is_none_or(|b| key < b.0) {
+                let write = q.req.kind == RequestKind::MemWrite;
+                best[bank] = Some((key, q.decoded.row, hit, write));
+            }
+        }
+        let mut ranked: Vec<_> = best.into_iter().flatten().collect();
+        ranked.sort_unstable();
+        ranked
+    }
+
+    fn note_mem_act(&mut self, age: u64, bank: usize, row: u32) {
+        let idx = self.queues.mem_position(age);
         self.queues.mem_mut()[idx].opened_row = true;
         // Attribute the conflict to a mode switch if the switch closed this
         // very row (Figure 10b).
@@ -1317,15 +1338,9 @@ impl MemoryController {
     /// declines, the same-row prefix is too short, or a refresh cuts the
     /// window down to a single op.
     fn try_retire_burst(&mut self, head_row: u32, now: Cycle) -> bool {
-        self.refresh_open_rows();
+        self.refresh_view();
         let policy_run = {
-            let view = PolicyView {
-                now,
-                mode: self.mode,
-                mem: self.queues.mem(),
-                pim: self.queues.pim(),
-                open_rows: &self.open_rows,
-            };
+            let view = self.queues.policy_view(now, self.mode, &self.open_rows);
             self.policy.stable_pim_run(&view)
         };
         if policy_run < 2 {
@@ -1454,4 +1469,11 @@ impl MemoryController {
             });
         }
     }
+}
+
+/// The mask with one bit per bank of an `n`-bank channel (`1 <= n <= 64`;
+/// `(1 << n) - 1` would overflow at 64).
+fn all_banks(n: usize) -> u64 {
+    debug_assert!((1..=MAX_BANKS).contains(&n));
+    u64::MAX >> (MAX_BANKS - n)
 }

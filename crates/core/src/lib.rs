@@ -36,6 +36,7 @@
 
 pub mod complexity;
 pub mod controller;
+mod mem_index;
 pub mod policy;
 pub mod queue;
 
@@ -526,6 +527,30 @@ mod tests {
             closed_hits <= 1,
             "closed-page must auto-precharge between accesses ({closed_hits} hits)"
         );
+    }
+
+    #[test]
+    fn sixty_four_bank_controller_steps_with_a_queued_pim_op() {
+        // 64 banks fill the controller's u64 bank masks exactly: the
+        // all-banks mask a queued PIM op contributes must not overflow.
+        let mut c = cfg();
+        c.dram.banks = 64;
+        let mut mc = MemoryController::new(&c, PolicyKind::FrFcfs.build());
+        let top = pimsim_types::DecodedAddr {
+            bank: 63,
+            row: 3,
+            ..Default::default()
+        };
+        mc.enqueue(mem_read(0, 0), top, 0);
+        mc.enqueue(
+            pim_op(1, PimOpKind::RfLoad, 7, 0, true, 0),
+            Default::default(),
+            0,
+        );
+        let done = run_until_idle(&mut mc, 2_000);
+        assert_eq!(done.len(), 2);
+        let blp = mc.stats().avg_blp().expect("some activity");
+        assert!(blp > 1.0 && blp <= 64.0, "BLP {blp} out of range");
     }
 
     #[test]

@@ -47,7 +47,7 @@ impl SchedulePolicy for Fcfs {
         view.oldest_mode().unwrap_or(view.mode)
     }
 
-    fn mem_class(&self, _q: &QueuedRequest, _is_row_hit: bool, _view: &PolicyView<'_>) -> u32 {
+    fn mem_class(&self, _app: AppId, _is_row_hit: bool) -> u32 {
         0 // pure age order
     }
 
@@ -155,10 +155,6 @@ impl ConflictBits {
     fn clear(&mut self) {
         self.mask = 0;
     }
-
-    fn masked(&self, bank: usize) -> bool {
-        bank < 64 && (self.mask >> bank) & 1 == 1
-    }
 }
 
 /// First-ready FCFS (Rixner et al., ISCA 2000) with the paper's PIM-mode
@@ -203,8 +199,8 @@ impl SchedulePolicy for FrFcfs {
         }
     }
 
-    fn bank_masked(&self, bank: usize) -> bool {
-        self.conflicts.masked(bank)
+    fn masked_banks(&self) -> u64 {
+        self.conflicts.mask
     }
 
     fn on_switch_complete(&mut self, _to: Mode, _now: Cycle) {
@@ -279,13 +275,17 @@ impl SchedulePolicy for FrFcfsCap {
         }
     }
 
-    fn bank_masked(&self, bank: usize) -> bool {
+    fn masked_banks(&self) -> u64 {
         // The cap overrides stalls: once reached, the oldest request must
         // be able to issue.
-        !self.cap_reached() && self.conflicts.masked(bank)
+        if self.cap_reached() {
+            0
+        } else {
+            self.conflicts.mask
+        }
     }
 
-    fn mem_class(&self, _q: &QueuedRequest, is_row_hit: bool, _view: &PolicyView<'_>) -> u32 {
+    fn mem_class(&self, _app: AppId, is_row_hit: bool) -> u32 {
         if self.cap_reached() {
             0 // age order until the oldest is served
         } else {
@@ -444,8 +444,8 @@ impl SchedulePolicy for Bliss {
         }
     }
 
-    fn mem_class(&self, q: &QueuedRequest, is_row_hit: bool, _view: &PolicyView<'_>) -> u32 {
-        u32::from(self.is_blacklisted(q.req.app)) * 2 + u32::from(!is_row_hit)
+    fn mem_class(&self, app: AppId, is_row_hit: bool) -> u32 {
+        u32::from(self.is_blacklisted(app)) * 2 + u32::from(!is_row_hit)
     }
 
     fn on_mem_issued(&mut self, q: &QueuedRequest, _bypassed_older_pim: bool, _now: Cycle) {
@@ -684,13 +684,7 @@ mod tests {
         }
 
         fn view(&self) -> PolicyView<'_> {
-            PolicyView {
-                now: self.now,
-                mode: self.mode,
-                mem: &self.mem,
-                pim: &self.pim,
-                open_rows: &self.open_rows,
-            }
+            PolicyView::new(self.now, self.mode, &self.mem, &self.pim, &self.open_rows)
         }
     }
 
@@ -779,7 +773,7 @@ mod tests {
             "cap reached: serve oldest"
         );
         // And MEM selection degrades to pure age order.
-        assert_eq!(p.mem_class(&f.mem[0], true, &f.view()), 0);
+        assert_eq!(p.mem_class(AppId::GPU, true), 0);
         // Serving the oldest resets the counter.
         p.on_pim_issued(&f.pim[0], false, 2);
         assert_eq!(p.desired_mode(&f.view()), Mode::Mem);
@@ -799,7 +793,7 @@ mod tests {
         // Blacklisted MEM loses to PIM despite being older.
         f.mem[0].age = 0;
         assert_eq!(p.desired_mode(&f.view()), Mode::Pim);
-        assert!(p.mem_class(&f.mem[0], true, &f.view()) >= 2);
+        assert!(p.mem_class(AppId::GPU, true) >= 2);
     }
 
     #[test]

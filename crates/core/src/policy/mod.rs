@@ -23,7 +23,7 @@ pub use sms::Sms;
 
 use std::collections::VecDeque;
 
-use pimsim_types::{Cycle, Mode};
+use pimsim_types::{AppId, Cycle, Mode};
 use serde::{Deserialize, Serialize};
 
 use crate::queue::QueuedRequest;
@@ -35,18 +35,61 @@ pub struct PolicyView<'a> {
     pub now: Cycle,
     /// Current servicing mode.
     pub mode: Mode,
-    /// MEM queue, in arrival order.
+    /// MEM queue, in arrival order — which is age order, oldest first.
     pub mem: &'a [QueuedRequest],
     /// PIM queue, in service (FCFS) order.
     pub pim: &'a VecDeque<QueuedRequest>,
     /// Open row per bank (`None` = precharged).
     pub open_rows: &'a [Option<u32>],
+    /// Banks with pending MEM requests (bit b = bank b, up to 64 banks);
+    /// read through [`PolicyView::mem_bank_masks`].
+    pub(crate) mem_pending: u64,
+    /// Banks where some pending MEM request is a row hit right now.
+    pub(crate) mem_hits: u64,
+}
+
+impl<'a> PolicyView<'a> {
+    /// Builds a view, deriving the bank masks by scanning `mem`, which
+    /// must be in age order. The controller fills the masks from its
+    /// candidate index instead, and cross-checks them against this scan
+    /// in debug builds.
+    pub fn new(
+        now: Cycle,
+        mode: Mode,
+        mem: &'a [QueuedRequest],
+        pim: &'a VecDeque<QueuedRequest>,
+        open_rows: &'a [Option<u32>],
+    ) -> Self {
+        debug_assert!(
+            mem.windows(2).all(|w| w[0].age < w[1].age),
+            "MEM queue must be in age order"
+        );
+        let mut mem_pending = 0u64;
+        let mut mem_hits = 0u64;
+        for q in mem {
+            let b = q.decoded.bank as usize;
+            debug_assert!(b < 64, "bank masks support up to 64 banks");
+            mem_pending |= 1 << b;
+            if open_rows.get(b).copied().flatten() == Some(q.decoded.row) {
+                mem_hits |= 1 << b;
+            }
+        }
+        PolicyView {
+            now,
+            mode,
+            mem,
+            pim,
+            open_rows,
+            mem_pending,
+            mem_hits,
+        }
+    }
 }
 
 impl PolicyView<'_> {
     /// Mode of the globally-oldest queued request, if any.
     pub fn oldest_mode(&self) -> Option<Mode> {
-        let m = self.mem.iter().map(|q| q.age).min();
+        let m = self.mem.first().map(|q| q.age);
         let p = self.pim.front().map(|q| q.age);
         match (m, p) {
             (None, None) => None,
@@ -59,20 +102,14 @@ impl PolicyView<'_> {
     /// Age of the oldest request of `mode`, if any.
     pub fn oldest_age(&self, mode: Mode) -> Option<u64> {
         match mode {
-            Mode::Mem => self.mem.iter().map(|q| q.age).min(),
+            Mode::Mem => self.mem.first().map(|q| q.age),
             Mode::Pim => self.pim.front().map(|q| q.age),
         }
     }
 
     /// Whether any queued MEM request would be a row-buffer hit right now.
     pub fn mem_has_row_hit(&self) -> bool {
-        self.mem.iter().any(|q| {
-            self.open_rows
-                .get(q.decoded.bank as usize)
-                .copied()
-                .flatten()
-                == Some(q.decoded.row)
-        })
+        self.mem_hits != 0
     }
 
     /// Whether the PIM queue head starts a new block (the PIM analogue of
@@ -88,17 +125,7 @@ impl PolicyView<'_> {
     /// pending MEM requests, and banks where some pending MEM request is a
     /// row hit right now.
     pub fn mem_bank_masks(&self) -> (u64, u64) {
-        let mut pending = 0u64;
-        let mut hit = 0u64;
-        for q in self.mem {
-            let b = q.decoded.bank as usize;
-            debug_assert!(b < 64, "bank mask supports up to 64 banks");
-            pending |= 1 << b;
-            if self.open_rows.get(b).copied().flatten() == Some(q.decoded.row) {
-                hit |= 1 << b;
-            }
-        }
-        (pending, hit)
+        (self.mem_pending, self.mem_hits)
     }
 
     /// Number of queued requests of `mode`.
@@ -125,22 +152,24 @@ pub trait SchedulePolicy: std::fmt::Debug + Send {
     /// triggers a drain-and-switch.
     fn desired_mode(&mut self, view: &PolicyView<'_>) -> Mode;
 
-    /// Priority class of a MEM request (lower wins; ties broken by age).
-    /// `is_row_hit` is whether serving it now would hit the row buffer.
+    /// Priority class of a MEM request from `app` (lower wins, ties
+    /// broken by age; must be below 64). `is_row_hit` is whether serving
+    /// it now would hit the row buffer. The class may depend on nothing
+    /// else: the controller caches each bank's best candidate and detects
+    /// a class change by re-asking this once per app and hit state.
     ///
     /// The default is FR-FCFS: hits before non-hits.
-    fn mem_class(&self, q: &QueuedRequest, is_row_hit: bool, view: &PolicyView<'_>) -> u32 {
-        let _ = (q, view);
+    fn mem_class(&self, app: AppId, is_row_hit: bool) -> u32 {
+        let _ = app;
         u32::from(!is_row_hit)
     }
 
-    /// Whether `bank` is stalled by the policy. FR-FCFS's mode-switch
+    /// Banks stalled by the policy (bit b = bank b). FR-FCFS's mode-switch
     /// logic stalls a bank once it records a row-buffer conflict while the
     /// oldest request belongs to the other mode (Section III-D); the
     /// controller then issues nothing for that bank until the switch.
-    fn bank_masked(&self, bank: usize) -> bool {
-        let _ = bank;
-        false
+    fn masked_banks(&self) -> u64 {
+        0
     }
 
     /// Called when a MEM request's column command issues.
@@ -162,7 +191,7 @@ pub trait SchedulePolicy: std::fmt::Debug + Send {
 
     /// The last cycle through which this policy's decisions
     /// ([`SchedulePolicy::desired_mode`], [`SchedulePolicy::mem_class`],
-    /// [`SchedulePolicy::bank_masked`]) are guaranteed unchanged, provided
+    /// [`SchedulePolicy::masked_banks`]) are guaranteed unchanged, provided
     /// the [`PolicyView`] stays constant and none of the `on_*` hooks fire
     /// in between. The controller's stall memo skips the per-cycle
     /// `desired_mode` calls inside this window, so implementations whose
@@ -420,7 +449,7 @@ mod tests {
     fn view_helpers_report_ages_and_masks() {
         use crate::queue::QueuedRequest;
         use pimsim_types::{AppId, DecodedAddr, PhysAddr, Request, RequestId, RequestKind};
-        let mem: Vec<QueuedRequest> = [(5u64, 2u16, 7u32), (9, 2, 8), (3, 4, 1)]
+        let mem: Vec<QueuedRequest> = [(3u64, 4u16, 1u32), (5, 2, 7), (9, 2, 8)]
             .into_iter()
             .map(|(age, bank, row)| QueuedRequest {
                 req: Request::new(
@@ -445,13 +474,7 @@ mod tests {
         let pim = std::collections::VecDeque::new();
         let mut open_rows = vec![None; 16];
         open_rows[2] = Some(7);
-        let view = PolicyView {
-            now: 0,
-            mode: Mode::Mem,
-            mem: &mem,
-            pim: &pim,
-            open_rows: &open_rows,
-        };
+        let view = PolicyView::new(0, Mode::Mem, &mem, &pim, &open_rows);
         assert_eq!(view.oldest_mode(), Some(Mode::Mem));
         assert_eq!(view.oldest_age(Mode::Mem), Some(3));
         assert_eq!(view.oldest_age(Mode::Pim), None);
@@ -510,13 +533,7 @@ mod tests {
             opened_row: false,
         });
         let open_rows = vec![None; 16];
-        let view = PolicyView {
-            now: 0,
-            mode: Mode::Mem,
-            mem: &mem,
-            pim: &pim,
-            open_rows: &open_rows,
-        };
+        let view = PolicyView::new(0, Mode::Mem, &mem, &pim, &open_rows);
         assert_eq!(view.oldest_mode(), Some(Mode::Pim));
     }
 

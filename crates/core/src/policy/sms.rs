@@ -219,13 +219,7 @@ mod tests {
         }
 
         fn view(&self) -> PolicyView<'_> {
-            PolicyView {
-                now: 0,
-                mode: self.mode,
-                mem: &self.mem,
-                pim: &self.pim,
-                open_rows: &self.open_rows,
-            }
+            PolicyView::new(0, self.mode, &self.mem, &self.pim, &self.open_rows)
         }
     }
 

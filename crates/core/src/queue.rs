@@ -8,7 +8,10 @@
 
 use std::collections::VecDeque;
 
-use pimsim_types::{Cycle, DecodedAddr, Request};
+use pimsim_types::{Cycle, DecodedAddr, Mode, Request, RequestKind};
+
+use crate::mem_index::MemIndex;
+use crate::policy::{PolicyView, SchedulePolicy};
 
 /// A request inside the memory controller, annotated with its decoded DRAM
 /// coordinates and its MC-assigned age.
@@ -32,17 +35,16 @@ pub struct QueuedRequest {
 /// The MEM and PIM queues of one channel's controller.
 #[derive(Debug, Clone)]
 pub struct McQueues {
+    /// In arrival order, which is age order: ages are assigned
+    /// monotonically and removal keeps the order.
     mem: Vec<QueuedRequest>,
     pim: VecDeque<QueuedRequest>,
     mem_capacity: usize,
     pim_capacity: usize,
     next_age: u64,
-    /// Queued MEM requests per bank (index = `bank % 64`), maintained on
-    /// enqueue/remove so the per-cycle BLP integral never rescans the
-    /// queue.
-    mem_bank_counts: Vec<u16>,
-    /// Bit `b` set iff `mem_bank_counts[b] > 0`.
-    mem_bank_mask: u64,
+    /// The MEM queue again, per bank, with each bank's cached best
+    /// candidate; maintained on enqueue/remove.
+    index: MemIndex,
 }
 
 impl McQueues {
@@ -54,8 +56,7 @@ impl McQueues {
             mem_capacity,
             pim_capacity,
             next_age: 0,
-            mem_bank_counts: vec![0; 64],
-            mem_bank_mask: 0,
+            index: MemIndex::new(),
         }
     }
 
@@ -88,15 +89,19 @@ impl McQueues {
             self.pim.push_back(q);
         } else {
             assert!(self.mem.len() < self.mem_capacity, "MEM queue overflow");
-            let b = decoded.bank as usize % 64;
-            self.mem_bank_counts[b] += 1;
-            self.mem_bank_mask |= 1 << b;
+            self.index.push(
+                decoded.bank as usize,
+                age,
+                decoded.row,
+                req.app,
+                req.kind == RequestKind::MemWrite,
+            );
             self.mem.push(q);
         }
         age
     }
 
-    /// The MEM queue in arrival order.
+    /// The MEM queue in arrival order (= age order).
     pub fn mem(&self) -> &[QueuedRequest] {
         &self.mem
     }
@@ -125,24 +130,76 @@ impl McQueues {
     /// Panics if `index` is out of bounds.
     pub fn remove_mem(&mut self, index: usize) -> QueuedRequest {
         let q = self.mem.remove(index);
-        let b = q.decoded.bank as usize % 64;
-        self.mem_bank_counts[b] -= 1;
-        if self.mem_bank_counts[b] == 0 {
-            self.mem_bank_mask &= !(1 << b);
-        }
+        self.index.remove(q.decoded.bank as usize, q.age);
         q
     }
 
-    /// Bitmask of banks (bit = `bank % 64`) with at least one queued MEM
-    /// request, maintained incrementally on enqueue/remove.
+    /// Position of the MEM request of age `age` in [`McQueues::mem`]
+    /// (binary search: the queue is age-sorted).
+    ///
+    /// # Panics
+    ///
+    /// Panics if no queued MEM request has that age.
+    pub(crate) fn mem_position(&self, age: u64) -> usize {
+        self.mem
+            .binary_search_by_key(&age, |q| q.age)
+            .expect("age names a queued MEM request")
+    }
+
+    /// Bitmask of banks (bit = bank) with at least one queued MEM request,
+    /// maintained incrementally on enqueue/remove.
     pub fn mem_bank_mask(&self) -> u64 {
         debug_assert_eq!(
-            self.mem_bank_mask,
-            self.mem
-                .iter()
-                .fold(0u64, |m, q| m | 1 << (q.decoded.bank as usize % 64))
+            self.index.pending(),
+            self.mem.iter().fold(0u64, |m, q| m | 1 << q.decoded.bank)
         );
-        self.mem_bank_mask
+        self.index.pending()
+    }
+
+    /// The per-bank MEM candidate index.
+    pub(crate) fn mem_index(&self) -> &MemIndex {
+        &self.index
+    }
+
+    /// Marks `banks` (a bank bitmask) for recomputation in the candidate
+    /// index, e.g. because their open rows changed.
+    pub(crate) fn mark_mem_dirty(&mut self, banks: u64) {
+        self.index.mark_dirty(banks);
+    }
+
+    /// Brings the candidate index up to date with `policy`'s classes and
+    /// the open rows; call before [`McQueues::policy_view`] or a ranking.
+    pub(crate) fn sync_mem_index(
+        &mut self,
+        policy: &dyn SchedulePolicy,
+        open_rows: &[Option<u32>],
+    ) {
+        self.index.sync(policy, open_rows);
+    }
+
+    /// The policy's view of these queues, its bank masks read from the
+    /// synced candidate index.
+    pub(crate) fn policy_view<'a>(
+        &'a self,
+        now: Cycle,
+        mode: Mode,
+        open_rows: &'a [Option<u32>],
+    ) -> PolicyView<'a> {
+        let view = PolicyView {
+            now,
+            mode,
+            mem: &self.mem,
+            pim: &self.pim,
+            open_rows,
+            mem_pending: self.index.pending(),
+            mem_hits: self.index.hits(),
+        };
+        debug_assert_eq!(
+            view.mem_bank_masks(),
+            PolicyView::new(now, mode, &self.mem, &self.pim, open_rows).mem_bank_masks(),
+            "candidate index masks diverged from a queue scan"
+        );
+        view
     }
 
     /// Removes and returns the PIM queue head.
@@ -150,9 +207,10 @@ impl McQueues {
         self.pim.pop_front()
     }
 
-    /// Age of the oldest MEM request.
+    /// Age of the oldest MEM request (the queue head: the queue is
+    /// age-sorted).
     pub fn oldest_mem_age(&self) -> Option<u64> {
-        self.mem.iter().map(|q| q.age).min()
+        self.mem.first().map(|q| q.age)
     }
 
     /// Age of the oldest PIM request (the queue head, since PIM is FCFS).

@@ -459,6 +459,10 @@ impl SystemConfig {
         if self.dram.banks == 0 || !self.dram.banks.is_power_of_two() {
             return err("dram.banks must be a nonzero power of two");
         }
+        if self.dram.banks > 64 {
+            // The memory controller tracks banks in 64-bit masks.
+            return err("dram.banks must be at most 64");
+        }
         if self.dram.bank_groups == 0 || !self.dram.banks.is_multiple_of(self.dram.bank_groups) {
             return err("dram.banks must be divisible by dram.bank_groups");
         }
@@ -633,6 +637,16 @@ mod tests {
         let mut cfg = SystemConfig::default();
         cfg.dram.banks = 12;
         assert!(cfg.validate().is_err());
+    }
+
+    #[test]
+    fn validation_rejects_more_banks_than_the_controller_masks_hold() {
+        let mut cfg = SystemConfig::default();
+        cfg.dram.banks = 128;
+        let e = cfg
+            .validate()
+            .expect_err("128 banks exceed the 64-bit masks");
+        assert!(e.to_string().contains("at most 64"), "{e}");
     }
 
     #[test]

@@ -65,9 +65,11 @@ HOTLOOP_REPS=1 HOTLOOP_FLOOR=25000 HOTLOOP_OUT="" \
 # pimbench (pimbench/README.md) is a package of its own, outside the
 # workspace: build and test it here so a change to a public API it
 # drives cannot break it unnoticed, and check one sample of every
-# workload against the fingerprints pinned for seed 0.
+# workload against the fingerprints pinned for seed 0 and for the
+# held-out seed 1 (which runs all nine policies under both VCs).
 cargo test -q --offline --manifest-path pimbench/Cargo.toml
 cargo run -q --release --offline --manifest-path pimbench/Cargo.toml -- --verify --seed 0
+cargo run -q --release --offline --manifest-path pimbench/Cargo.toml -- --verify --seed 1
 
 # Opt-in slow pass: the two #[ignore]d long-horizon experiment tests
 # (full QKV collaborative run, PIM-corunner interference sweep). They

@@ -188,28 +188,31 @@ fn policies_never_select_an_empty_mode() {
         let n_mem = rng.next_range(8) as usize;
         let n_pim = rng.next_range(8) as usize;
         let mem_mode = rng.chance(0.5);
-        let mem: Vec<QueuedRequest> = (0..n_mem)
-            .map(|i| {
-                let age = rng.next_range(1000);
-                QueuedRequest {
-                    req: Request::new(
-                        RequestId(age),
-                        AppId::GPU,
-                        RequestKind::MemRead,
-                        PhysAddr(age * 32),
-                        0,
-                        0,
-                    ),
-                    decoded: DecodedAddr {
-                        channel: 0,
-                        bank: (i % 16) as u16,
-                        row: age as u32 % 8,
-                        col: 0,
-                    },
-                    age,
-                    arrived: 0,
-                    opened_row: false,
-                }
+        // The controller's MEM queue is age-sorted with unique ages.
+        let mut mem_ages: Vec<u64> = (0..n_mem).map(|_| rng.next_range(1000)).collect();
+        mem_ages.sort_unstable();
+        mem_ages.dedup();
+        let mem: Vec<QueuedRequest> = mem_ages
+            .iter()
+            .enumerate()
+            .map(|(i, &age)| QueuedRequest {
+                req: Request::new(
+                    RequestId(age),
+                    AppId::GPU,
+                    RequestKind::MemRead,
+                    PhysAddr(age * 32),
+                    0,
+                    0,
+                ),
+                decoded: DecodedAddr {
+                    channel: 0,
+                    bank: (i % 16) as u16,
+                    row: age as u32 % 8,
+                    col: 0,
+                },
+                age,
+                arrived: 0,
+                opened_row: false,
             })
             .collect();
         let mut pim_ages: Vec<u64> = (0..n_pim).map(|_| rng.next_range(1000)).collect();
@@ -242,13 +245,8 @@ fn policies_never_select_an_empty_mode() {
         let open_rows = vec![None; 16];
         for kind in PolicyKind::all() {
             let mut p = kind.build();
-            let view = PolicyView {
-                now: 0,
-                mode: if mem_mode { Mode::Mem } else { Mode::Pim },
-                mem: &mem,
-                pim: &pim,
-                open_rows: &open_rows,
-            };
+            let mode = if mem_mode { Mode::Mem } else { Mode::Pim };
+            let view = PolicyView::new(0, mode, &mem, &pim, &open_rows);
             let desired = p.desired_mode(&view);
             let desired_len = match desired {
                 Mode::Mem => mem.len(),
@@ -371,6 +369,33 @@ fn earliest_issue_matches_brute_force_scan() {
 /// every policy, with and without refresh.
 #[test]
 fn stall_memo_matches_full_step_oracle() {
+    check_stall_memo_against_oracle(&PolicyKind::all(), &[AppId::GPU], 0x57A11);
+}
+
+/// The MEM candidate index (DESIGN.md §4g) stays exact while the inputs
+/// it caches move under it: MEM traffic from two apps, so BLISS
+/// blacklists grow and clear (short interval) and per-app classes
+/// diverge; a small FR-FCFS-Cap cap, so the class table flips between
+/// row-hit-first and age order; and refresh, which closes open rows
+/// behind the controller's back. Debug builds cross-check the index
+/// against a full queue scan on every MEM-mode step, so a missed
+/// dirtying rule fails here as a divergence assertion.
+#[test]
+fn mem_candidate_index_matches_full_scan_under_moving_classes() {
+    let mut kinds = PolicyKind::all();
+    kinds.push(PolicyKind::Bliss {
+        threshold: 2,
+        clear_interval: 400,
+    });
+    kinds.push(PolicyKind::FrFcfsCap { cap: 4 });
+    check_stall_memo_against_oracle(&kinds, &[AppId::GPU, AppId(2)], 0x1D3A);
+}
+
+/// Drives a stall-memo controller and a brute-force one (memo off) with
+/// the same random MEM/PIM traffic, MEM requests drawn from `mem_apps`,
+/// for each of `kinds` with refresh off and on, and requires identical
+/// completions, modes, idleness and final stats.
+fn check_stall_memo_against_oracle(kinds: &[PolicyKind], mem_apps: &[AppId], seed: u64) {
     for refresh in [false, true] {
         let mut cfg = SystemConfig::default();
         if refresh {
@@ -378,8 +403,8 @@ fn stall_memo_matches_full_step_oracle() {
             cfg.timing.t_rfc = 40;
         }
         let m = AddressMapper::new(&cfg.addr_map, &cfg.dram, 32);
-        for kind in PolicyKind::all() {
-            let mut rng = SplitMix64::new(0x57A11 ^ u64::from(refresh));
+        for &kind in kinds {
+            let mut rng = SplitMix64::new(seed ^ u64::from(refresh));
             let mut fast = MemoryController::new(&cfg, kind.build());
             let mut oracle = MemoryController::new(&cfg, kind.build());
             oracle.set_stall_enabled(false);
@@ -441,8 +466,13 @@ fn stall_memo_matches_full_step_oracle() {
                             } else {
                                 RequestKind::MemRead
                             };
+                            let app = if mem_apps.len() > 1 {
+                                mem_apps[rng.next_range(mem_apps.len() as u64) as usize]
+                            } else {
+                                mem_apps[0]
+                            };
                             (
-                                Request::new(RequestId(next_id), AppId::GPU, kind, addr, 0, 0),
+                                Request::new(RequestId(next_id), app, kind, addr, 0, 0),
                                 m.decode(addr),
                             )
                         };
