@@ -1,7 +1,8 @@
 //! Hot-loop speedup measurement: simulated GPU cycles per wall-clock
 //! second with the event-driven fast-forward on vs off, written to
-//! `BENCH_hotloop.json`. Scenarios mirror the `hotloop` criterion bench:
-//! standalone MEM, standalone PIM, and F3FS competitive co-execution.
+//! `BENCH_hotloop.json`. The scenarios (`pimsim_bench::HOTLOOP_SCENARIOS`)
+//! cover standalone MEM, standalone and throttled PIM on both DRAM
+//! backends, and F3FS competitive co-execution.
 //!
 //! Run with `cargo run --release --bin hotloop`. Every pair first asserts
 //! the two modes simulated the same number of cycles — throughput is only
@@ -10,25 +11,22 @@
 //! measurement from a lucky one.
 //!
 //! The fast-forward gate is deterministic: each scenario's skip count
-//! must reach, and its reply-network tick count stay within, the values
-//! committed in `BENCH_hotloop.json`, and so must the controllers' step
-//! mix (full steps at most, memo replays, plan-retired cycles and burst
-//! plans at least the committed counts). Wall-clock rates are reported,
-//! not gated — host noise decides them; the counters do not move with it.
+//! must reach, and its memory, reply-network and completion tick counts
+//! stay within, the values committed in `BENCH_hotloop.json`, and so
+//! must the controllers' step mix (full steps at most, memo replays,
+//! plan-retired cycles and burst plans at least the committed counts).
+//! Wall-clock rates are reported, not gated — host noise decides them;
+//! the counters do not move with it.
 
 use std::time::Instant;
 
-use pimsim_bench::header;
-use pimsim_core::policy::PolicyKind;
+use pimsim_bench::{
+    header, hotloop_config, hotloop_kernels, hotloop_policy, hotloop_runner, run_hotloop_scenario,
+    HOTLOOP_BUDGET, HOTLOOP_SCENARIOS,
+};
 use pimsim_core::StepMix;
-use pimsim_sim::{KernelModel, Runner, Simulator, StageProfile};
-use pimsim_types::SystemConfig;
-use pimsim_workloads::{gpu_kernel, pim_kernel, pim_suite::PimBenchmark, rodinia::GpuBenchmark};
+use pimsim_sim::{Simulator, StageProfile};
 
-const SCALE: f64 = 1.0;
-/// Co-execution is slower per simulated cycle; a smaller size keeps the
-/// measurement wall-time reasonable.
-const COEXEC_SCALE: f64 = 0.2;
 /// Criterion-style minimum: repeat each measurement and keep the best, so
 /// one scheduler hiccup does not masquerade as a regression. Overridable
 /// via `HOTLOOP_REPS` (the tier-1 smoke runs a single rep).
@@ -62,90 +60,11 @@ fn env_u64(name: &str, default: u64) -> u64 {
         .unwrap_or(default)
 }
 
-/// The scenario's system configuration, resolved through the DRAM
-/// backend registry exactly like `--dram` on the CLI: `_lp5x`-suffixed
-/// scenarios run the LPDDR5X-PIM substrate at 4 ranks, everything else
-/// the default HBM tables.
-fn config_for(name: &str) -> SystemConfig {
-    if name.ends_with("_lp5x") {
-        let kind = pimsim_dram::backend::parse_spec("lp5x:ranks=4").expect("registered backend");
-        pimsim_dram::backend::system_config(kind)
-    } else {
-        SystemConfig::default()
-    }
-}
-
-fn runner_on(cfg: SystemConfig, policy: PolicyKind, fast_forward: bool) -> Runner {
-    let mut r = Runner::new(cfg, policy);
-    r.max_gpu_cycles = 60_000_000;
+/// One timed pass of scenario `name` with fast-forward on or off.
+fn run(name: &str, fast_forward: bool) -> u64 {
+    let mut r = hotloop_runner(name);
     r.fast_forward = fast_forward;
-    r
-}
-
-fn runner(policy: PolicyKind, fast_forward: bool) -> Runner {
-    runner_on(SystemConfig::default(), policy, fast_forward)
-}
-
-fn standalone_mem(ff: bool) -> u64 {
-    runner(PolicyKind::FrFcfs, ff)
-        .standalone(Box::new(gpu_kernel(GpuBenchmark(10), 8, SCALE)), 0, false)
-        .expect("finishes")
-        .cycles
-}
-
-fn standalone_pim(ff: bool) -> u64 {
-    runner(PolicyKind::FrFcfs, ff)
-        .standalone(
-            Box::new(pim_kernel(PimBenchmark(1), 32, 4, 256, SCALE)),
-            0,
-            true,
-        )
-        .expect("finishes")
-        .cycles
-}
-
-fn standalone_pim_lp5x(ff: bool) -> u64 {
-    runner_on(config_for("standalone_pim_lp5x"), PolicyKind::FrFcfs, ff)
-        .standalone(
-            Box::new(pim_kernel(PimBenchmark(1), 32, 4, 256, SCALE)),
-            0,
-            true,
-        )
-        .expect("finishes")
-        .cycles
-}
-
-/// Sparse-eject variant: a tight per-warp credit cap throttles issue, so
-/// the request crossbar alternates between empty and lightly loaded —
-/// the regime where eject batching's deferral windows are longest and
-/// the staged-ingress probe accounting (occupancy while a batch is
-/// pending) actually gates fast-forward skips.
-fn sparse_pim_kernel() -> impl KernelModel {
-    pim_kernel(PimBenchmark(1), 32, 4, 4, 0.5)
-}
-
-fn sparse_pim(ff: bool) -> u64 {
-    runner(PolicyKind::FrFcfs, ff)
-        .standalone(Box::new(sparse_pim_kernel()), 0, true)
-        .expect("finishes")
-        .cycles
-}
-
-fn sparse_pim_lp5x(ff: bool) -> u64 {
-    runner_on(config_for("sparse_pim_lp5x"), PolicyKind::FrFcfs, ff)
-        .standalone(Box::new(sparse_pim_kernel()), 0, true)
-        .expect("finishes")
-        .cycles
-}
-
-fn coexec_f3fs(ff: bool) -> u64 {
-    runner(PolicyKind::f3fs_competitive(), ff)
-        .coexec(
-            Box::new(gpu_kernel(GpuBenchmark(8), 72, COEXEC_SCALE)),
-            Box::new(pim_kernel(PimBenchmark(2), 32, 4, 256, COEXEC_SCALE)),
-            true,
-        )
-        .total_cycles
+    run_hotloop_scenario(name, &r)
 }
 
 /// One profiled pass of a scenario: the same workload as the timed
@@ -154,45 +73,25 @@ fn coexec_f3fs(ff: bool) -> u64 {
 /// real time on the fastest scenarios. The pass runs the production
 /// configuration (fast-forward, stall memo, and burst retirement all
 /// on), so its merged step mix and fast-forward skip counters are also
-/// harvested here.
+/// harvested here. Kernels mount and run as in `Runner::standalone` and
+/// `Runner::coexec`.
 fn profile_scenario(name: &str) -> (StageProfile, StepMix, u64, u64) {
-    let mut sim = Simulator::new(
-        config_for(name),
-        match name {
-            "coexec_f3fs" => PolicyKind::f3fs_competitive(),
-            _ => PolicyKind::FrFcfs,
-        },
-    );
+    let mut sim = Simulator::new(hotloop_config(name), hotloop_policy(name));
     sim.set_stage_profiling(true);
-    match name {
-        "standalone_mem" => {
-            let k = gpu_kernel(GpuBenchmark(10), 8, SCALE);
-            let slots = k.num_slots();
-            sim.mount(Box::new(k), (0..slots).collect(), false, false);
-            sim.run_until_all_first_done(60_000_000).expect("finishes");
-        }
-        "standalone_pim" | "standalone_pim_lp5x" => {
-            let k = pim_kernel(PimBenchmark(1), 32, 4, 256, SCALE);
-            let slots = k.num_slots();
-            sim.mount(Box::new(k), (0..slots).collect(), true, false);
-            sim.run_until_all_first_done(60_000_000).expect("finishes");
-        }
-        "sparse_pim" | "sparse_pim_lp5x" => {
-            let k = sparse_pim_kernel();
-            let slots = k.num_slots();
-            sim.mount(Box::new(k), (0..slots).collect(), true, false);
-            sim.run_until_all_first_done(60_000_000).expect("finishes");
-        }
-        "coexec_f3fs" => {
-            let pim = pim_kernel(PimBenchmark(2), 32, 4, 256, COEXEC_SCALE);
-            let gpu = gpu_kernel(GpuBenchmark(8), 72, COEXEC_SCALE);
-            let (ps, gs) = (pim.num_slots(), gpu.num_slots());
-            sim.mount(Box::new(pim), (0..ps).collect(), true, true);
-            sim.mount(Box::new(gpu), (ps..ps + gs).collect(), false, true);
-            // Starvation cutoff is a legitimate end, as in Runner::coexec.
-            let _ = sim.run_with_starvation_cutoff(60_000_000, Some(25));
-        }
-        other => unreachable!("unknown scenario {other}"),
+    let kernels = hotloop_kernels(name);
+    let coexec = kernels.len() > 1;
+    let mut base = 0;
+    for (kernel, is_pim) in kernels {
+        let slots = kernel.num_slots();
+        sim.mount(kernel, (base..base + slots).collect(), is_pim, coexec);
+        base += slots;
+    }
+    if coexec {
+        // Starvation cutoff is a legitimate end, as in Runner::coexec.
+        let _ = sim.run_with_starvation_cutoff(HOTLOOP_BUDGET, Some(25));
+    } else {
+        sim.run_until_all_first_done(HOTLOOP_BUDGET)
+            .expect("finishes");
     }
     let prof = *sim.stage_profile().expect("profiling was enabled");
     let (skips, skipped) = sim.fast_forward_stats();
@@ -201,12 +100,12 @@ fn profile_scenario(name: &str) -> (StageProfile, StepMix, u64, u64) {
 
 /// `reps` timed passes: returns the (identical) simulated cycle count and
 /// every raw rate in simulated cycles per wall second.
-fn measure(f: fn(bool) -> u64, ff: bool, reps: usize) -> (u64, Vec<f64>) {
+fn measure(name: &str, ff: bool, reps: usize) -> (u64, Vec<f64>) {
     let mut rates = Vec::with_capacity(reps);
     let mut cycles = 0;
     for _ in 0..reps {
         let t = Instant::now();
-        cycles = f(ff);
+        cycles = run(name, ff);
         rates.push(cycles as f64 / t.elapsed().as_secs_f64());
     }
     (cycles, rates)
@@ -241,18 +140,9 @@ fn main() {
     let floor = env_u64("HOTLOOP_FLOOR", 0) as f64;
     let committed =
         std::fs::read_to_string(COMMITTED).unwrap_or_else(|e| panic!("read {COMMITTED}: {e}"));
-    type Scenario = fn(bool) -> u64;
-    let scenarios: [(&str, Scenario); 6] = [
-        ("standalone_mem", standalone_mem),
-        ("standalone_pim", standalone_pim),
-        ("standalone_pim_lp5x", standalone_pim_lp5x),
-        ("sparse_pim", sparse_pim),
-        ("sparse_pim_lp5x", sparse_pim_lp5x),
-        ("coexec_f3fs", coexec_f3fs),
-    ];
     let mut entries = Vec::new();
     let mut slowest: Option<(&str, f64)> = None;
-    for (name, f) in scenarios {
+    for name in HOTLOOP_SCENARIOS {
         // Interleave the on/off reps pairwise instead of measuring one
         // block then the other: background load on this host drifts on
         // the timescale of a block, and interleaving exposes both modes
@@ -261,10 +151,10 @@ fn main() {
         let mut rates_off = Vec::new();
         let (mut cycles_on, mut cycles_off) = (0, 0);
         for _ in 0..reps {
-            let (c, r) = measure(f, true, 1);
+            let (c, r) = measure(name, true, 1);
             cycles_on = c;
             rates_on.extend(r);
-            let (c, r) = measure(f, false, 1);
+            let (c, r) = measure(name, false, 1);
             cycles_off = c;
             rates_off.extend(r);
         }
@@ -291,12 +181,11 @@ fn main() {
         );
         let (prof, mix, ff_skips, ff_skipped) = profile_scenario(name);
         // Fast-forward regression gate, on deterministic counters only:
-        // the skip path must take at least as many jumps, and the
-        // event-driven reply stage run at most as many ticks, as the
-        // committed results record. Either moving the wrong way means a
-        // probe is blocked or an idle summary went stale — the standalone
-        // MEM collapse this gate exists to catch. A scenario missing from
-        // the committed file fails too, so the gate cannot lapse.
+        // the skip path must take at least as many jumps as the
+        // committed results record. Fewer means a probe is blocked or an
+        // idle summary went stale — the standalone MEM collapse this gate
+        // exists to catch. A scenario missing from the committed file
+        // fails too, so the gate cannot lapse.
         let bound = |key: &str| {
             committed_counter(&committed, name, key).unwrap_or_else(|| {
                 panic!("{name}: no committed `{key}` in {COMMITTED}; add the scenario's block")
@@ -307,12 +196,21 @@ fn main() {
             ff_skips >= min_skips,
             "{name}: fast-forward took {ff_skips} skips, fewer than the committed {min_skips}"
         );
-        let max_reply_ticks = bound("ticks_reply_net");
-        assert!(
-            mix.ticks_reply_net <= max_reply_ticks,
-            "{name}: reply network ran {} ticks, more than the committed {max_reply_ticks}",
-            mix.ticks_reply_net
-        );
+        // Stage ticks: the memory, reply-network and completion stages
+        // may run no more often than committed. A rise means a deferral
+        // or delivery gate stopped engaging (a stale reply summary shows
+        // up here as well).
+        for (key, got) in [
+            ("ticks_memory", mix.ticks_memory),
+            ("ticks_reply_net", mix.ticks_reply_net),
+            ("ticks_completion", mix.ticks_completion),
+        ] {
+            let max = bound(key);
+            assert!(
+                got <= max,
+                "{name}: {key} = {got}, more than the committed {max}"
+            );
+        }
         // The controller's step mix, gated the same way: no more full
         // scheduling steps, and no fewer memo-replayed or plan-retired
         // cycles or burst plans, than committed. Work done inside a full
@@ -381,39 +279,6 @@ fn main() {
                 "{name}: no acks went through the retire-time batch"
             );
         }
-        if name.starts_with("standalone_pim") || name.starts_with("sparse_pim") {
-            // All-PIM traffic must route its ejections through the
-            // timestamped batch path (DESIGN.md §4l); a zero counter
-            // means eject batching silently disengaged.
-            assert!(
-                mix.requests_batched > 0,
-                "{name}: no requests went through the eject batch"
-            );
-        }
-        if name == "standalone_pim" {
-            // Structural gate for eject batching: the eager path ran the
-            // request-net stage every stepped cycle; deferring whole
-            // arbitration cycles must cut that at least 3x. Tick counts
-            // are deterministic, so this gate is immune to host noise.
-            assert!(
-                mix.ticks_request_net * 3 <= prof.stepped_cycles,
-                "{name}: request-net stage ran {} ticks over {} stepped cycles; \
-                 eject batching should defer arbitration at least 3x below \
-                 the per-cycle baseline",
-                mix.ticks_request_net,
-                prof.stepped_cycles
-            );
-            // The §4k regression this PR exists to fix: per-eject
-            // catch-up replay collapsed deferral windows to ~4.3 visits
-            // on saturated PIM. Timestamped eject batches must keep the
-            // mean per-partition replay batch at 4x that or better.
-            let window = mix.mean_deferral_window().unwrap_or(0.0);
-            assert!(
-                window >= 16.0,
-                "{name}: mean deferral window {window:.1} visits/batch < 16; \
-                 eject batching failed to lift the per-eject catch-up collapse"
-            );
-        }
         let total = prof.total_ns().max(1);
         print!("  {:16} stages:", "");
         let mut stage_fields = Vec::new();
@@ -453,13 +318,8 @@ fn main() {
         );
         let window = mix.mean_deferral_window().unwrap_or(0.0);
         println!(
-            "  {:16} ejects: {} batches / {} requests batched / mean deferral window {:.1} ({} visits over {} replays)",
-            "",
-            mix.eject_batches,
-            mix.requests_batched,
-            window,
-            mix.replayed_visits,
-            mix.replay_batches
+            "  {:16} replay: mean deferral window {:.1} ({} visits over {} replays)",
+            "", window, mix.replayed_visits, mix.replay_batches
         );
         entries.push(format!(
             concat!(
@@ -485,8 +345,6 @@ fn main() {
                 "        \"ack_batches\": {},\n",
                 "        \"acks_batched\": {},\n",
                 "        \"plan_spans_replayed\": {},\n",
-                "        \"eject_batches\": {},\n",
-                "        \"requests_batched\": {},\n",
                 "        \"replay_batches\": {},\n",
                 "        \"replayed_visits\": {},\n",
                 "        \"mean_deferral_window\": {:.2},\n",
@@ -527,8 +385,6 @@ fn main() {
             mix.ack_batches,
             mix.acks_batched,
             mix.plan_spans_replayed,
-            mix.eject_batches,
-            mix.requests_batched,
             mix.replay_batches,
             mix.replayed_visits,
             window,

@@ -1,6 +1,8 @@
-//! Shared helpers for the figure-regeneration binaries.
+//! Shared helpers for the figure-regeneration binaries, and the
+//! scenario set the simulator-throughput benches (`hotloop`, `ablation`)
+//! share.
 //!
-//! Every binary accepts the same flags:
+//! Every figure binary accepts the same flags:
 //!
 //! * `--scale <f64>` — workload scale (default 0.2; 1.0 = the largest
 //!   footprints the fast sweep was tuned for).
@@ -15,7 +17,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use pimsim_core::policy::PolicyKind;
+use pimsim_sim::{KernelModel, Runner};
 use pimsim_types::{DramBackendKind, SystemConfig};
+use pimsim_workloads::{gpu_kernel, pim_kernel, pim_suite::PimBenchmark, rodinia::GpuBenchmark};
 
 /// Common command-line options for figure binaries.
 #[derive(Debug, Clone)]
@@ -148,6 +153,115 @@ pub fn fmt_box(f: pimsim_stats::FiveNumber) -> String {
 /// Prints a section header in the style of the figure captions.
 pub fn header(title: &str) {
     println!("\n=== {title} ===");
+}
+
+/// The simulator-throughput scenarios `hotloop` times and `ablation`
+/// switches fast paths off on, in report order.
+pub const HOTLOOP_SCENARIOS: [&str; 6] = [
+    "standalone_mem",
+    "standalone_pim",
+    "standalone_pim_lp5x",
+    "sparse_pim",
+    "sparse_pim_lp5x",
+    "coexec_f3fs",
+];
+
+/// Workload scale of the standalone MEM and PIM scenarios.
+const HOTLOOP_SCALE: f64 = 1.0;
+/// Co-execution is slower per simulated cycle; a smaller size keeps the
+/// measurement wall-time reasonable.
+const HOTLOOP_COEXEC_SCALE: f64 = 0.2;
+/// GPU-cycle budget of every scenario run.
+pub const HOTLOOP_BUDGET: u64 = 60_000_000;
+
+/// Scenario `name`'s system configuration, resolved through the DRAM
+/// backend registry exactly like `--dram` on the CLI: `_lp5x`-suffixed
+/// scenarios run the LPDDR5X-PIM substrate at 4 ranks, everything else
+/// the default HBM tables.
+pub fn hotloop_config(name: &str) -> SystemConfig {
+    if name.ends_with("_lp5x") {
+        let kind = pimsim_dram::backend::parse_spec("lp5x:ranks=4").expect("registered backend");
+        pimsim_dram::backend::system_config(kind)
+    } else {
+        SystemConfig::default()
+    }
+}
+
+/// Scenario `name`'s scheduling policy: F3FS for co-execution, FR-FCFS
+/// otherwise.
+pub fn hotloop_policy(name: &str) -> PolicyKind {
+    if name == "coexec_f3fs" {
+        PolicyKind::f3fs_competitive()
+    } else {
+        PolicyKind::FrFcfs
+    }
+}
+
+/// Scenario `name`'s kernels as `(model, is_pim)` in mount order: one
+/// for a standalone scenario; for co-execution the PIM kernel (on the
+/// low SMs), then the GPU kernel, as [`Runner::coexec`] mounts them.
+///
+/// The `sparse_pim` scenarios throttle P1 with a per-warp credit cap of
+/// 4, so the request crossbar alternates between empty and lightly
+/// loaded and the completion stage's pull-driven ack drains run almost
+/// every cycle.
+///
+/// # Panics
+///
+/// Panics on a name outside [`HOTLOOP_SCENARIOS`].
+pub fn hotloop_kernels(name: &str) -> Vec<(Box<dyn KernelModel>, bool)> {
+    let pim = |bench, cap, scale| -> (Box<dyn KernelModel>, bool) {
+        (
+            Box::new(pim_kernel(PimBenchmark(bench), 32, 4, cap, scale)),
+            true,
+        )
+    };
+    match name {
+        "standalone_mem" => vec![(
+            Box::new(gpu_kernel(GpuBenchmark(10), 8, HOTLOOP_SCALE)),
+            false,
+        )],
+        "standalone_pim" | "standalone_pim_lp5x" => vec![pim(1, 256, HOTLOOP_SCALE)],
+        "sparse_pim" | "sparse_pim_lp5x" => vec![pim(1, 4, 0.5)],
+        "coexec_f3fs" => vec![
+            pim(2, 256, HOTLOOP_COEXEC_SCALE),
+            (
+                Box::new(gpu_kernel(GpuBenchmark(8), 72, HOTLOOP_COEXEC_SCALE)),
+                false,
+            ),
+        ],
+        other => panic!("unknown hotloop scenario {other}"),
+    }
+}
+
+/// A runner for scenario `name`: its configuration and policy with the
+/// default fast paths and [`HOTLOOP_BUDGET`]. Callers flip switches on it
+/// before [`run_hotloop_scenario`].
+pub fn hotloop_runner(name: &str) -> Runner {
+    let mut r = Runner::new(hotloop_config(name), hotloop_policy(name));
+    r.max_gpu_cycles = HOTLOOP_BUDGET;
+    r
+}
+
+/// Runs scenario `name` once on `runner`; returns the simulated GPU
+/// cycles (the kernel's first run when standalone, the whole run for
+/// co-execution).
+///
+/// # Panics
+///
+/// Panics if a standalone scenario exceeds the runner's budget.
+pub fn run_hotloop_scenario(name: &str, runner: &Runner) -> u64 {
+    let mut kernels = hotloop_kernels(name);
+    if kernels.len() == 1 {
+        let (kernel, is_pim) = kernels.pop().expect("one kernel");
+        return runner
+            .standalone(kernel, 0, is_pim)
+            .expect("finishes")
+            .cycles;
+    }
+    let (gpu, _) = kernels.pop().expect("GPU kernel mounts last");
+    let (pim, is_pim) = kernels.pop().expect("PIM kernel mounts first");
+    runner.coexec(gpu, pim, is_pim).total_cycles
 }
 
 #[cfg(test)]

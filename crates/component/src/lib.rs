@@ -379,8 +379,8 @@ impl<T> Schedule<T> {
 
     /// Entries parked in the out-of-order (heap) lane. Zero for any
     /// producer that deposits in `(at, key)`-ascending order — the
-    /// property the eject-batch and ack-batch paths rely on to keep the
-    /// common case a plain FIFO append.
+    /// property the ack-batch path relies on to keep the common case a
+    /// plain FIFO append.
     pub fn straggler_len(&self) -> usize {
         self.heap.len()
     }
@@ -602,9 +602,9 @@ mod tests {
     #[test]
     fn schedule_monotone_pushes_stay_off_the_heap_lane() {
         // Seeded property test for the two-lane structure: a producer
-        // depositing in (at, key)-ascending order (an eject batch, an ack
-        // batch) must never touch the straggler heap, so every push and
-        // pop is an O(1) deque operation.
+        // depositing in (at, key)-ascending order (an ack batch) must
+        // never touch the straggler heap, so every push and pop is an
+        // O(1) deque operation.
         let mut seed = 0x5eed_cafe_u64;
         let mut rng = move || {
             // xorshift64: deterministic, no external crates.

@@ -216,14 +216,9 @@ pub struct StepMix {
     /// Burst-plan windows bulk-replayed by `plan_replay_span` (each span
     /// covers many `burst_retired` ticks in one call).
     pub plan_spans_replayed: u64,
-    /// Timestamped eject batches deposited into partition staged-ingress
-    /// schedules (one per empty→nonempty transition of a partition's
-    /// schedule; DESIGN.md §4l).
-    pub eject_batches: u64,
-    /// Crossbar ejections delivered through the staged (deferred-replay)
-    /// path instead of an eager per-eject hand-off. Zero with traffic
-    /// means eject batching silently disengaged — the tier-1 smoke
-    /// fails on that.
+    /// Always zero: crossbar ejections hand off live since eject
+    /// batching was retired (DESIGN.md §4l). Kept only because pimbench
+    /// still reports it as `batch.requests_batched`.
     pub requests_batched: u64,
     /// Per-partition catch-up replays that had at least one deferred
     /// visit to work through.
@@ -242,9 +237,9 @@ impl StepMix {
     }
 
     /// Mean deferred visits replayed per per-partition catch-up — the
-    /// length of the average deferral window as one partition sees it.
-    /// §4k's per-eject catch-up collapsed this to ≈4 cycles on saturated
-    /// PIM; eject batching (§4l) is meant to stretch it back out.
+    /// length of the average deferral window as one partition sees it
+    /// (DESIGN.md §4k). Per-eject catch-ups keep it short on saturated
+    /// PIM (≈4 visits on hotloop's `standalone_pim`).
     pub fn mean_deferral_window(&self) -> Option<f64> {
         (self.replay_batches > 0).then(|| self.replayed_visits as f64 / self.replay_batches as f64)
     }
@@ -267,7 +262,6 @@ impl pimsim_stats::Mergeable for StepMix {
         self.ack_batches += o.ack_batches;
         self.acks_batched += o.acks_batched;
         self.plan_spans_replayed += o.plan_spans_replayed;
-        self.eject_batches += o.eject_batches;
         self.requests_batched += o.requests_batched;
         self.replay_batches += o.replay_batches;
         self.replayed_visits += o.replayed_visits;
@@ -1039,9 +1033,9 @@ impl MemoryController {
     /// cannot issue before the plan's end either — plans survive
     /// enqueues unconditionally. A stall memo offers no such cover (the
     /// enqueue voids it and the freed controller may issue immediately),
-    /// so the bound deliberately ignores `stall_until`. The eject-batch
-    /// deferral (DESIGN.md §4l) caps windows with this: a staged or
-    /// still-buffered arrival bounds the window instead of punching it.
+    /// so the bound deliberately ignores `stall_until`. The memory
+    /// stage's pull-driven ack drain (DESIGN.md §4k) uses it to skip
+    /// lagging partitions that cannot owe a due ack yet.
     pub fn arrival_bound(&self, at: Cycle) -> Cycle {
         at.max(self.plan_until)
             .saturating_add(self.min_completion_latency())

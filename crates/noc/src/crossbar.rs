@@ -24,17 +24,11 @@ use pimsim_types::{Cycle, Request, VcMode};
 /// Virtual-channel index within a port.
 pub type VcIndex = usize;
 
-/// A queued flit: a request plus its destination output port and the
-/// cycle it entered the crossbar. The timestamp makes deferred
-/// arbitration exact: a replayed cycle `g` must only see flits with
-/// `inject_at <= g`, and because injections append and per-lane
-/// timestamps are nondecreasing, the visible set is always a queue
-/// prefix.
+/// A queued flit: a request plus its destination output port.
 #[derive(Debug, Clone, Copy)]
 struct Flit {
     req: Request,
     dest: usize,
-    inject_at: Cycle,
 }
 
 /// Per-input-port state.
@@ -106,19 +100,6 @@ pub struct Crossbar {
     /// words. The proposal gather walks set bits instead of scanning
     /// every input port.
     busy_in: Vec<u64>,
-    /// Buffered flits per `(dest, vc)` slot (`dest * vcs + vc`),
-    /// maintained on inject/eject so the eject-credit horizon check is a
-    /// counter read per destination lane instead of a queue scan.
-    buffered: Vec<usize>,
-    /// Buffered non-PIM flits, total. Any MEM flit in flight disables
-    /// arbitration deferral (its L2-hit reply timing is not covered by
-    /// the PIM completion-latency bound), so the check must be O(1).
-    buffered_mem: usize,
-    /// Input VC lanes currently at capacity. While zero, one more
-    /// injection per input per cycle (the issue stage's K=1 bound) cannot
-    /// be refused, so deferring ejections cannot change `can_inject`
-    /// answers.
-    full_lanes: usize,
     /// Words per input-set bitmask (`busy_in.len()`, and the stride of
     /// each output's stripe in the request scratch).
     in_words: usize,
@@ -201,9 +182,6 @@ impl Crossbar {
             stats: CrossbarStats::default(),
             occupancy: 0,
             busy_in: vec![0; in_words],
-            buffered: vec![0; n_out * vcs],
-            buffered_mem: 0,
-            full_lanes: 0,
             in_words,
             scratch: StepScratch {
                 input_done: vec![false; n_in],
@@ -235,11 +213,6 @@ impl Crossbar {
         self.n_out
     }
 
-    /// Virtual channels per port under the current configuration.
-    pub fn vc_count(&self) -> usize {
-        self.vc_mode.vc_count()
-    }
-
     /// The virtual channel a request uses under the current configuration.
     pub fn vc_for(&self, req: &Request) -> VcIndex {
         match self.vc_mode {
@@ -258,8 +231,9 @@ impl Crossbar {
         p.vcs[vc].len() < p.capacity_per_vc
     }
 
-    /// Injects `req` at `input` on cycle `now`, destined for output port
-    /// `dest`.
+    /// Injects `req` at `input`, destined for output port `dest`. The
+    /// injection cycle `_now` is unused: the crossbar keeps no
+    /// timestamps.
     ///
     /// # Errors
     ///
@@ -270,7 +244,7 @@ impl Crossbar {
     /// Panics if `input` or `dest` is out of range.
     pub fn try_inject(
         &mut self,
-        now: Cycle,
+        _now: Cycle,
         input: usize,
         req: Request,
         dest: usize,
@@ -282,53 +256,11 @@ impl Crossbar {
             self.stats.inject_stalls += 1;
             return Err(req);
         }
-        debug_assert!(
-            p.vcs[vc].back().is_none_or(|f| f.inject_at <= now),
-            "per-lane inject timestamps must be nondecreasing"
-        );
-        p.vcs[vc].push_back(Flit {
-            req,
-            dest,
-            inject_at: now,
-        });
-        if p.vcs[vc].len() == p.capacity_per_vc {
-            self.full_lanes += 1;
-        }
+        p.vcs[vc].push_back(Flit { req, dest });
         self.busy_in[input / 64] |= 1 << (input % 64);
         self.occupancy += 1;
-        self.buffered[dest * self.vc_mode.vc_count() + vc] += 1;
-        if !req.kind.is_pim() {
-            self.buffered_mem += 1;
-        }
         self.stats.injected += 1;
         Ok(())
-    }
-
-    /// Buffered flits headed for `(dest, vc)`. O(1): maintained on
-    /// inject/eject.
-    pub fn buffered_for(&self, dest: usize, vc: VcIndex) -> usize {
-        self.buffered[dest * self.vc_mode.vc_count() + vc]
-    }
-
-    /// Whether any buffered flit targets `dest`, across VCs.
-    pub fn buffered_dest(&self, dest: usize) -> bool {
-        let vcs = self.vc_mode.vc_count();
-        self.buffered[dest * vcs..(dest + 1) * vcs]
-            .iter()
-            .any(|&n| n > 0)
-    }
-
-    /// Buffered non-PIM flits, total. O(1).
-    pub fn buffered_mem(&self) -> usize {
-        self.buffered_mem
-    }
-
-    /// Whether any input VC lane is at capacity. O(1). While `false`,
-    /// deferring ejections cannot change an injection verdict before the
-    /// next per-cycle check, because each input injects at most one flit
-    /// per cycle.
-    pub fn has_full_input_lane(&self) -> bool {
-        self.full_lanes > 0
     }
 
     /// Total flits buffered at `input`.
@@ -386,28 +318,18 @@ impl Crossbar {
         true
     }
 
-    /// Whether lane `vc` of `input` has a head flit visible at cycle
-    /// `now`. Per-lane timestamps are nondecreasing, so an invisible head
-    /// means the whole lane is invisible.
-    fn lane_visible(&self, input: usize, vc: VcIndex, now: Cycle) -> bool {
-        self.inputs[input].vcs[vc]
-            .front()
-            .is_some_and(|f| f.inject_at <= now)
-    }
-
-    /// Head-flit VC an input proposes on cycle `now`: the modified iSlip
-    /// VC round-robin (switch away from `last_vc` when the other VC has
-    /// traffic). Only flits injected at or before `now` participate, so a
-    /// replayed cycle sees exactly what the live cycle saw.
-    fn propose_vc(&self, input: usize, now: Cycle) -> Option<VcIndex> {
+    /// Head-flit VC an input proposes this cycle: the modified iSlip VC
+    /// round-robin (switch away from `last_vc` when the other VC has
+    /// traffic).
+    fn propose_vc(&self, input: usize) -> Option<VcIndex> {
         let p = &self.inputs[input];
         match p.vcs.len() {
-            1 => self.lane_visible(input, 0, now).then_some(0),
+            1 => (!p.vcs[0].is_empty()).then_some(0),
             _ => {
                 let other = 1 - p.last_vc;
-                if self.lane_visible(input, other, now) {
+                if !p.vcs[other].is_empty() {
                     Some(other)
-                } else if self.lane_visible(input, p.last_vc, now) {
+                } else if !p.vcs[p.last_vc].is_empty() {
                     Some(p.last_vc)
                 } else {
                     None
@@ -422,7 +344,7 @@ impl Crossbar {
     /// must return `true` to accept it (downstream queue has space). On
     /// `false`, the flit stays queued and the grant pointer does not
     /// advance (iSlip only advances pointers on successful grants).
-    pub fn step<F>(&mut self, now: Cycle, eject: F)
+    pub fn step<F>(&mut self, _now: Cycle, mut eject: F)
     where
         F: FnMut(usize, VcIndex, &Request) -> bool,
     {
@@ -433,36 +355,6 @@ impl Crossbar {
             return;
         }
         self.stats.occupancy_integral += self.occupancy as u64;
-        self.arbitrate(now, eject);
-    }
-
-    /// Replays the arbitration cycle `at` after its live step was
-    /// deferred. `injected_upto` is `stats().injected` captured when the
-    /// cycle was deferred; because replay runs in chronological order,
-    /// the flits the live cycle would have seen are exactly the
-    /// `injected_upto - stats.ejected` oldest buffered ones, and the
-    /// per-flit `inject_at` gate inside arbitration enforces precisely
-    /// that prefix. The occupancy integral is advanced by the visible
-    /// count, matching the live step's contribution bit for bit.
-    pub fn replay_cycle<F>(&mut self, at: Cycle, injected_upto: u64, eject: F)
-    where
-        F: FnMut(usize, VcIndex, &Request) -> bool,
-    {
-        let visible = injected_upto.saturating_sub(self.stats.ejected);
-        if visible == 0 {
-            // The live cycle would have early-returned on an empty
-            // crossbar without touching arbiter state.
-            return;
-        }
-        self.stats.occupancy_integral += visible;
-        self.arbitrate(at, eject);
-    }
-
-    /// One iSlip arbitration pass over the flits visible at `now`.
-    fn arbitrate<F>(&mut self, now: Cycle, mut eject: F)
-    where
-        F: FnMut(usize, VcIndex, &Request) -> bool,
-    {
         let n_in = self.inputs.len();
         // Borrow the scratch out of self for the duration of the step so
         // the arbitration loops can mutate `self.inputs` freely; the
@@ -496,18 +388,17 @@ impl Crossbar {
                     if input_done[i] {
                         continue;
                     }
-                    let Some(first) = self.propose_vc(i, now) else {
+                    let Some(first) = self.propose_vc(i) else {
                         continue;
                     };
                     let n_vcs = self.inputs[i].vcs.len();
-                    // The preferred VC, then any other VC with a visible
-                    // head.
+                    // The preferred VC, then any other nonempty VC.
                     for off in 0..n_vcs {
                         let vc = if off == 0 {
                             first
                         } else {
                             let other = (first + off) % n_vcs;
-                            if !self.lane_visible(i, other, now) {
+                            if self.inputs[i].vcs[other].is_empty() {
                                 continue;
                             }
                             other
@@ -546,18 +437,11 @@ impl Crossbar {
                     .expect("candidate VC must be nonempty");
                 debug_assert_eq!(flit.dest, out);
                 if eject(out, vc, &flit.req) {
-                    if self.inputs[cand].vcs[vc].len() == self.inputs[cand].capacity_per_vc {
-                        self.full_lanes -= 1;
-                    }
                     self.inputs[cand].vcs[vc].pop_front();
                     if self.inputs[cand].occupancy() == 0 {
                         self.busy_in[cand / 64] &= !(1 << (cand % 64));
                     }
                     self.occupancy -= 1;
-                    self.buffered[out * self.vc_mode.vc_count() + vc] -= 1;
-                    if !flit.req.kind.is_pim() {
-                        self.buffered_mem -= 1;
-                    }
                     self.inputs[cand].last_vc = vc;
                     self.grant_ptr[out] = (cand + 1) % n_in;
                     self.stats.ejected += 1;

@@ -72,22 +72,6 @@ pub struct Partition {
     /// ack is observable at exactly the tick the eager per-tick path
     /// would have delivered it (DESIGN.md §4k).
     acks: Schedule<Request>,
-    /// Timestamped eject batches from the request crossbar (DESIGN.md
-    /// §4l): `(vc, request)` pairs keyed by the GPU cycle the deferred
-    /// arbitration granted them, the ingress dual of the `acks`
-    /// schedule. [`Partition::step_l2`] delivers the due prefix into the
-    /// ingress port before any L2 work, so a replayed visit sees exactly
-    /// the lane contents the live cycle would have.
-    staged_ingress: Schedule<(usize, Request)>,
-    /// DRAM tick of each staged arrival, FIFO-parallel to
-    /// `staged_ingress` (deposits are (cycle, key)-ascending, so pops
-    /// align). The front stamp feeds the arrival bound in
-    /// [`Partition::bulk_horizon`].
-    staged_dram: VecDeque<Cycle>,
-    /// Staged arrivals per ingress VC — reserved lane slots the
-    /// crossbar's eject-credit check must subtract before deferring
-    /// further cycles.
-    staged_counts: Vec<usize>,
     /// Non-PIM requests currently staged across the ingress and L2→DRAM
     /// ports — an O(1) mirror of scanning both ports, kept so the
     /// pure-PIM test in [`Partition::bulk_horizon`] costs nothing on the
@@ -125,9 +109,6 @@ impl Partition {
             pending_writebacks: VecDeque::new(),
             reply: Wire::unbounded(),
             acks: Schedule::new(),
-            staged_ingress: Schedule::new(),
-            staged_dram: VecDeque::new(),
-            staged_counts: vec![0; vcs],
             staged_mem: 0,
             rr_icnt: 0,
             rr_l2dram: 0,
@@ -241,71 +222,10 @@ impl Partition {
         accepted
     }
 
-    /// Deposits a deferred crossbar ejection (DESIGN.md §4l): the grant
-    /// that live arbitration would have delivered into the ingress lane
-    /// on GPU cycle `gpu_at` (DRAM tick `dram_at`). Delivery happens at
-    /// the top of the `step_l2` visit for that cycle, so lane contents at
-    /// every L2 service point match the live schedule exactly.
-    ///
-    /// Only PIM requests are ever staged — the request network refuses
-    /// to defer any cycle while a MEM flit is buffered.
-    pub fn stage_arrival(&mut self, gpu_at: Cycle, dram_at: Cycle, vc: usize, req: Request) {
-        debug_assert!(req.kind.is_pim(), "only PIM ejections are deferrable");
-        self.staged_counts[vc] += 1;
-        self.staged_dram.push_back(dram_at);
-        self.staged_ingress.push(gpu_at, req.id.0, (vc, req));
-        debug_assert_eq!(
-            self.staged_ingress.straggler_len(),
-            0,
-            "eject batches must arrive in grant order"
-        );
-    }
-
-    /// Staged-but-undelivered crossbar ejections.
-    pub fn staged_len(&self) -> usize {
-        self.staged_ingress.len()
-    }
-
-    /// Free ingress-lane slots on `vc` after reserving one for every
-    /// staged arrival — the credit the crossbar may still defer against.
-    pub fn eject_credit(&self, vc: usize) -> usize {
-        let lane = self.ingress.lane(vc);
-        lane.capacity()
-            .saturating_sub(lane.len())
-            .saturating_sub(self.staged_counts[vc])
-    }
-
-    /// Delivers every staged arrival due at or before `now` into its
-    /// ingress lane. Credit was proven when the ejection was deferred and
-    /// lane occupancy only shrinks between then and delivery, so
-    /// acceptance cannot fail.
-    fn deliver_staged(&mut self, now: Cycle) {
-        while let Some((vc, req)) = self.staged_ingress.pop_due(now) {
-            self.staged_dram.pop_front();
-            self.staged_counts[vc] -= 1;
-            let accepted = self.try_accept(vc, req);
-            debug_assert!(accepted, "eject credit was proven at defer time");
-        }
-    }
-
-    /// Delivers every staged arrival due at or before `now` immediately,
-    /// without waiting for the `step_l2` visit. The live ejection path
-    /// calls this (after catching the partition up) before handing a
-    /// flit over through [`Partition::try_accept`]: arrivals staged for
-    /// this very cycle precede that flit in the eager lane order, so
-    /// they must land first for the hand-off verdict and the lane FIFO
-    /// to match the live schedule exactly.
-    pub fn flush_staged(&mut self, now: Cycle) {
-        self.deliver_staged(now);
-    }
-
     /// One GPU-clock step of the L2 stage. Fill and writeback IDs are
     /// minted from this partition's own lane
     /// ([`Partition::mint_internal_id`]).
     pub fn step_l2(&mut self, now: Cycle) {
-        if self.staged_ingress.has_due(now) {
-            self.deliver_staged(now);
-        }
         self.process_fills(now);
         self.drain_writebacks();
         self.pop_icnt(now);
@@ -567,7 +487,7 @@ impl Partition {
     ///
     /// MEM-side work refuses deferral outright: L2 hits, fills, and
     /// writebacks push replies at cycle granularity. A *pure-PIM*
-    /// pipeline (staged PIM requests in the ingress or L2→DRAM ports)
+    /// pipeline (PIM requests waiting in the ingress or L2→DRAM ports)
     /// is deferrable and does not bound the window: PIM bypasses the
     /// L2, touches no reply wire, and the acks it produces are pulled
     /// by the delivery stage, which replays lagging partitions before
@@ -586,65 +506,45 @@ impl Partition {
             return None;
         }
         let pipeline = !self.ingress.is_empty() || !self.to_dram.is_empty();
-        let staged = !self.staged_ingress.is_empty();
         debug_assert_eq!(
             self.staged_mem > 0,
             Self::port_has_mem(&self.ingress) || Self::port_has_mem(&self.to_dram),
             "staged_mem counter out of sync with the port contents"
         );
-        if (pipeline || staged) && self.reply.len() >= REPLY_OUT_CAP {
+        if pipeline && (self.staged_mem > 0 || self.reply.len() >= REPLY_OUT_CAP) {
             return None;
         }
-        if pipeline && self.staged_mem > 0 {
-            return None;
-        }
-        // Buffered or staged pure-PIM work does not bound the window:
-        // ingestion and issue replay through the live code paths, and
-        // the acks they produce are *pulled* by the delivery stage
-        // (which replays lagging partitions before every drain), so no
-        // production deadline falls inside the window (DESIGN.md §4l).
-        // MEM work cannot hide here — `staged_mem > 0` refused above and
-        // the staged-ingress schedule is PIM-only by construction — so
-        // the controller's own horizon (exact-tick MEM completions, MEM
+        // Buffered pure-PIM work does not bound the window: ingestion
+        // and issue replay through the live code paths, and the acks
+        // they produce are *pulled* by the delivery stage (which replays
+        // lagging partitions before every drain), so no production
+        // deadline falls inside the window (DESIGN.md §4k). MEM work
+        // cannot hide here — `staged_mem > 0` refused above — so the
+        // controller's own horizon (exact-tick MEM completions, MEM
         // regime bound) is the whole story.
         self.mc.bulk_horizon(from)
     }
 
     /// Replays deferred stage visits `(gpu_cycle, first_dram_tick,
     /// dram_ticks)` — the catch-up half of the
-    /// [`Partition::bulk_horizon`] contract. With the pipeline frozen
-    /// (nothing staged in the ports and a quiet L2 front half — deferral
-    /// voids on ejects, so nothing changed since the horizon was taken),
-    /// the GPU-cycle L2 steps are provable no-ops and the DRAM ticks
+    /// [`Partition::bulk_horizon`] contract. While pure-PIM work sits in
+    /// the ports, each visit replays through the *live* code path —
+    /// `step_l2` plus `step_dram_span` — which is bit-identical to having
+    /// never deferred. Once the pipeline is frozen (empty ports, quiet L2
+    /// front half), the remaining visits' L2 steps are provable no-ops —
+    /// arrivals come only through the memory stage's `partition_mut`,
+    /// which catches the partition up first — so their DRAM ticks
     /// collapse into one contiguous span through
-    /// [`Partition::catch_up_span`]. With staged pure-PIM work the spans
-    /// replay through the *live* code path — `step_l2` plus
-    /// `step_dram_span` per recorded visit — which is bit-identical to
-    /// having never deferred.
+    /// [`Partition::catch_up_span`].
     pub fn replay_spans(&mut self, spans: &[(Cycle, Cycle, u64)], mapper: &AddressMapper) {
-        let mut i = 0;
-        while i < spans.len() {
-            // Collapse the quiet run of visits up to the next staged
-            // arrival's delivery cycle: with the ports empty and the L2
-            // front half quiet, those visits provably touch only the
-            // controller, so their DRAM ticks fold into one span.
+        for &(gpu_now, first_dram, ticks) in spans {
             if self.l2_quiet() && self.to_dram.is_empty() {
-                let j = match self.staged_ingress.next_at() {
-                    None => spans.len(),
-                    Some(due) => i + spans[i..].partition_point(|&(g, _, _)| g < due),
-                };
-                if j > i {
-                    let (_, first, _) = spans[i];
-                    let (_, last_first, last_ticks) = spans[j - 1];
-                    self.catch_up_span(first, last_first + last_ticks - first);
-                    i = j;
-                    continue;
-                }
+                let (_, last_first, last_ticks) = spans[spans.len() - 1];
+                self.catch_up_span(first_dram, last_first + last_ticks - first_dram);
+                return;
             }
-            let (gpu_now, first_dram, ticks) = spans[i];
             self.step_l2(gpu_now);
             self.step_dram_span(first_dram, ticks, mapper);
-            i += 1;
         }
     }
 
@@ -679,7 +579,6 @@ impl Partition {
     /// active partition answers `dram_now`.
     pub fn next_activity_cycle(&self, dram_now: Cycle) -> Option<Cycle> {
         if self.ingress.is_empty()
-            && self.staged_ingress.is_empty()
             && self.to_dram.is_empty()
             && self.l2_delay.is_empty()
             && self.pending_fills.is_empty()
@@ -695,7 +594,6 @@ impl Partition {
     /// Whether the partition holds no work at all.
     pub fn is_idle(&self, dram_now: Cycle) -> bool {
         self.ingress.is_empty()
-            && self.staged_ingress.is_empty()
             && self.to_dram.is_empty()
             && self.l2_delay.is_empty()
             && self.pending_fills.is_empty()

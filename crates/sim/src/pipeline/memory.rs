@@ -19,15 +19,14 @@
 //!
 //! The stage keeps one `ActiveSet` of the partitions that may hold
 //! work, and every per-cycle loop — stepping, deferral checks, catch-up,
-//! the fast-forward probe, staged-eject counts, ack drains and the reply
-//! network's wire scan — walks it instead of every channel. A partition
-//! *leaves* when a visit that stepped or replayed it leaves it
-//! [`Partition::is_idle`] at the stage's DRAM service point; an idle
-//! partition is a fixed point of stepping (empty ports, quiet L2, idle
-//! controller), so skipping its visits is exact. It *re-enters* only
-//! where work can arrive: [`MemoryStage::partition_mut`] (the live eject
-//! path, unit tests) and [`MemoryStage::stage_eject`] (batched
-//! ejects). Draining (acks, replies) only removes work, so those paths
+//! the fast-forward probe, ack drains and the reply network's wire scan
+//! — walks it instead of every channel. A partition *leaves* when a visit
+//! that stepped or replayed it leaves it [`Partition::is_idle`] at the
+//! stage's DRAM service point; an idle partition is a fixed point of
+//! stepping (empty ports, quiet L2, idle controller), so skipping its
+//! visits is exact. It *re-enters* only where work can arrive:
+//! [`MemoryStage::partition_mut`] (the crossbar's eject hand-off, unit
+//! tests). Draining (acks, replies) only removes work, so those paths
 //! never admit a partition.
 
 use std::sync::{Arc, Mutex};
@@ -127,7 +126,9 @@ pub struct MemoryStage {
     mapper: Arc<AddressMapper>,
     /// Stage visits skipped by deferral, in order: `(gpu_cycle,
     /// first_dram_tick, dram_ticks)` exactly as [`MemoryStage::step_cycle_all`]
-    /// would have received them. Drained per partition on demand.
+    /// would have received them. Replayed per partition on demand; the
+    /// prefix every active partition has replayed is dropped (see
+    /// `compact_deferred`), so the list holds at most the largest lag.
     deferred: Vec<(Cycle, Cycle, u64)>,
     /// Per-partition index of the first entry in `deferred` not yet
     /// replayed on that partition. `synced[c] == deferred.len()` means
@@ -142,18 +143,12 @@ pub struct MemoryStage {
     horizon: Vec<Cycle>,
     /// Which entries of `horizon` need recomputation.
     stale: Vec<bool>,
-    /// Eject batches staged since construction: +1 each time a
-    /// partition's staged-ingress schedule goes empty → non-empty
-    /// (DESIGN.md §4l).
-    eject_batches: u64,
-    /// Requests deposited through the staged (batched) eject path.
-    requests_batched: u64,
     /// Per-partition replay batches: one per catch-up that replayed at
     /// least one deferred stage visit on an active partition.
     replay_batches: u64,
     /// Deferred stage visits replayed, summed over all batches. Divided
-    /// by `replay_batches` this is the mean deferral window — the §4k/§4l
-    /// headline metric.
+    /// by `replay_batches` this is the mean deferral window (DESIGN.md
+    /// §4k).
     replayed_visits: u64,
     threads: usize,
     pool: StagePool,
@@ -178,8 +173,6 @@ impl MemoryStage {
             synced: vec![0; channels],
             horizon: vec![0; channels],
             stale: vec![true; channels],
-            eject_batches: 0,
-            requests_batched: 0,
             replay_batches: 0,
             replayed_visits: 0,
             threads: 1,
@@ -272,105 +265,30 @@ impl MemoryStage {
         self.leave_if_idle(c);
     }
 
-    /// Deposits a crossbar ejection into channel `c`'s staged-ingress
-    /// schedule, for delivery at GPU cycle `gpu_at` (DESIGN.md §4l).
-    /// Admits the partition to the active set — it now provably has
-    /// future work — and marks its cached horizon stale, but performs
-    /// *no* catch-up: the staged arrival stays invisible to the partition
-    /// until the stage visit for `gpu_at` is stepped or replayed.
-    pub fn stage_eject(
-        &mut self,
-        c: usize,
-        vc: usize,
-        req: Request,
-        gpu_at: Cycle,
-        dram_at: Cycle,
-    ) {
-        if !self.active.contains(c) {
-            // An idle partition's deferred visits before the arrival's
-            // own are no-ops on it: its replay starts at that visit.
-            // Its sync point is never past that visit: partitions sync
-            // only after the request network flushes, and arbitration
-            // deferred after a flush grants later than every visit
-            // recorded before it.
-            let at = self.deferred.partition_point(|&(g, _, _)| g < gpu_at);
-            debug_assert!(
-                self.synced[c] <= at,
-                "idle partition synced past an arrival"
-            );
-            self.synced[c] = at;
-        }
-        self.active.insert(c);
-        self.stale[c] = true;
-        let p = self.partitions[c]
-            .as_deref_mut()
-            .expect("partition in slot");
-        if p.staged_len() == 0 {
-            self.eject_batches += 1;
-        }
-        self.requests_batched += 1;
-        p.stage_arrival(gpu_at, dram_at, vc, req);
+    /// Cumulative replay counters: `(replay_batches, replayed_visits)`.
+    pub fn replay_counters(&self) -> (u64, u64) {
+        (self.replay_batches, self.replayed_visits)
     }
 
-    /// Staged-but-undelivered crossbar ejections across all partitions.
-    /// The fast-forward probe counts these as request-path occupancy so
-    /// it never reports the network quiet while an eject batch is
-    /// pending.
-    pub fn staged_ejects(&self) -> usize {
-        self.active.iter().map(|c| self.get(c).staged_len()).sum()
-    }
-
-    /// Staged-but-undelivered crossbar ejections for channel `c` alone —
-    /// the request network's starvation probe: a lane short on credit
-    /// with staged arrivals outstanding is lagging, not backpressured.
-    pub fn staged_ejects_for(&self, c: usize) -> usize {
-        self.partitions[c]
-            .as_deref()
-            .expect("partition in slot")
-            .staged_len()
-    }
-
-    /// Free slots in channel `c`'s VC-`vc` ingress lane, net of staged
-    /// arrivals — the credit the request network checks before deferring
-    /// an arbitration cycle. Read-only by design: a partition lagging
-    /// behind the stage has lane occupancy at or above its live value
-    /// (replay only drains lanes), so it under-reports credit, which is
-    /// conservative-safe.
-    pub fn eject_credit(&self, c: usize, vc: usize) -> usize {
-        self.get(c).eject_credit(vc)
-    }
-
-    /// Lower bound on the completion cycle of any request arriving at
-    /// channel `c` at DRAM tick `at` (see
-    /// [`pimsim_core::MemoryController::arrival_bound`]). Read-only and
-    /// lag-sound: a partition behind the stage has a `plan_until` no
-    /// later than its live value, so the bound it reports is never above
-    /// the live one.
-    pub fn arrival_bound(&self, c: usize, at: Cycle) -> Cycle {
-        self.get(c).mc.arrival_bound(at)
-    }
-
-    /// Cumulative §4l batching counters: `(eject_batches,
-    /// requests_batched, replay_batches, replayed_visits)`.
-    pub fn batching_counters(&self) -> (u64, u64, u64, u64) {
-        (
-            self.eject_batches,
-            self.requests_batched,
-            self.replay_batches,
-            self.replayed_visits,
-        )
-    }
-
-    /// Discards fully-replayed history once every active partition is
-    /// current, so the deferred list never grows unboundedly. Inactive
-    /// partitions have nothing to replay; the callers flush the request
-    /// network first, so no ejection can still be staged into the
-    /// discarded visits.
+    /// Drops the prefix of the deferred history that every active
+    /// partition has already replayed, so the list holds only the
+    /// largest remaining lag. Inactive partitions have nothing to replay
+    /// (`partition_mut` syncs one before admitting it), so their sync
+    /// points do not hold history back.
     fn compact_deferred(&mut self) {
         let n = self.deferred.len();
-        if n > 0 && self.active.iter().all(|c| self.synced[c] == n) {
-            self.deferred.clear();
-            self.synced.fill(0);
+        let done = self
+            .active
+            .iter()
+            .map(|c| self.synced[c])
+            .min()
+            .unwrap_or(n);
+        if done == 0 {
+            return;
+        }
+        self.deferred.drain(..done);
+        for s in &mut self.synced {
+            *s = s.saturating_sub(done);
         }
     }
 
@@ -407,7 +325,7 @@ impl MemoryStage {
     /// timestamp stay invisible until DRAM time reaches them, so
     /// delivery order and cycle match the eager per-tick path exactly.
     ///
-    /// Ack production is *pull-driven* (DESIGN.md §4l): a partition
+    /// Ack production is *pull-driven* (DESIGN.md §4k): a partition
     /// lagging behind the stage may not yet have produced acks that are
     /// already due, so a lagging partition replays its share of the
     /// deferred visits here, immediately before the read. The replay
@@ -426,9 +344,7 @@ impl MemoryStage {
     /// bound clears `limit`, everything due is already in the wire and
     /// the lag keeps accumulating — this is what keeps consecutive
     /// delivery cycles (a throttled kernel draining its credit cap) from
-    /// shattering windows into single-visit replays. The caller must
-    /// stage pending crossbar ejections (`RequestNet::flush_into`)
-    /// first, like every other catch-up entry point.
+    /// shattering windows into single-visit replays.
     pub fn drain_acks_into(&mut self, limit: Cycle, out: &mut Vec<Request>) {
         let n = self.deferred.len();
         for c in self.active.iter() {
@@ -583,13 +499,15 @@ impl MemoryStage {
     /// `true`: every partition's cached horizon covers the window, so
     /// the visit is replayable with bit-identical state and nothing
     /// observable (a reply, an ack falling due, a fill) can surface
-    /// inside it. O(1) — this is the production side's event-driven
-    /// payoff (DESIGN.md §4k).
+    /// inside it. Costs one walk of the active set, which also drops the
+    /// history every partition has replayed — this is the production
+    /// side's event-driven payoff (DESIGN.md §4k).
     pub fn defer_cycle(&mut self, now: Cycle, first_dram: Cycle, ticks: u64) {
         debug_assert!(
             self.dram_upto == first_dram,
             "deferred visit must extend the recorded history"
         );
+        self.compact_deferred();
         self.deferred.push((now, first_dram, ticks));
         self.dram_upto = first_dram + ticks;
     }
@@ -634,11 +552,7 @@ impl MemoryStage {
     /// says nothing about the live schedule. Replaying just that
     /// partition's visits (through the exact live code paths) forms the
     /// successor plan and usually re-opens the window, keeping one stale
-    /// horizon from ending deferral for all partitions (DESIGN.md §4l).
-    ///
-    /// The caller must flush the request network first: catch-up replays
-    /// visits past every deferred ejection's grant cycle, so those
-    /// ejections must already be staged.
+    /// horizon from ending deferral for all partitions (DESIGN.md §4k).
     ///
     /// Returns `true` when every partition's refreshed horizon covers
     /// `end`; `false` means some *current* partition genuinely needs its
@@ -840,11 +754,22 @@ mod tests {
             assert_eq!(m.active(), ActiveSet::default(), "threads={threads}");
             assert_eq!(m.next_activity_cycle(now), None);
 
-            // A staged eject admits its partition without a visit...
+            // An eject through `partition_mut` admits an idle partition
+            // without replaying the visits deferred while it was idle...
             let d = (c + 1) % m.channel_count();
-            m.stage_eject(d, 0, pim_load(2, d), now, now);
+            for _ in 0..3 {
+                assert!(m.can_defer_through(now + 1), "an empty stage defers");
+                m.defer_cycle(now, now, 1);
+                now += 1;
+            }
+            let replays = m.replay_counters();
+            assert!(m.partition_mut(d).try_accept(0, pim_load(2, d)));
             assert_eq!(m.active().iter().collect::<Vec<_>>(), [d]);
-            assert_eq!(m.staged_ejects(), 1);
+            assert_eq!(
+                m.replay_counters(),
+                replays,
+                "an idle partition owes no replay"
+            );
             // ...and the partition leaves once its ack is drained.
             let mut acks = Vec::new();
             while m.active().contains(d) {
@@ -854,8 +779,58 @@ mod tests {
                 now += 1;
             }
             assert_eq!(acks.len(), 1, "threads={threads}");
-            assert_eq!(m.staged_ejects(), 0);
             assert_eq!(m.active(), ActiveSet::default(), "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn deferred_history_keeps_only_the_largest_lag() {
+        // Pure-PIM partitions defer indefinitely (their acks are pulled
+        // at delivery, so no production deadline bounds the window).
+        // Catching them up through `partition_mut` at staggered points
+        // leaves each lagging by a different amount; the history must
+        // shrink to the largest remaining lag instead of waiting for
+        // every partition to be current at once.
+        for threads in [1, 4] {
+            let (mut m, mapper) = stage(threads);
+            for c in 0..m.channel_count() {
+                m.partition_mut(c).mc.set_ack_batching(true);
+            }
+            // One visit drops the (idle) partitions the loop above
+            // admitted.
+            m.step_cycle_all(0, 0, 1, &mapper);
+            assert_eq!(m.active(), ActiveSet::default());
+            let chans = [3, 5, 9];
+            for c in chans {
+                assert!(m.partition_mut(c).try_accept(0, pim_load(c as u64, c)));
+            }
+            // Twelve deferred visits; channel 3 is caught up after visit
+            // 4, channel 5 after visit 9 and channel 9 after visit 12,
+            // leaving them 8, 3 and 0 visits behind.
+            for now in 1..=12u64 {
+                assert!(m.can_defer_through(now + 1), "pure-PIM work defers");
+                m.defer_cycle(now, now, 1);
+                let caught_up = match now {
+                    4 => Some(3),
+                    9 => Some(5),
+                    12 => Some(9),
+                    _ => None,
+                };
+                if let Some(c) = caught_up {
+                    m.partition_mut(c);
+                }
+            }
+            // A drain too early to owe any ack pulls nothing and keeps
+            // every partition active, but compacts the history down to
+            // the largest lag.
+            let mut acks = Vec::new();
+            m.drain_acks_into(1, &mut acks);
+            assert!(acks.is_empty());
+            assert_eq!(m.active().iter().collect::<Vec<_>>(), chans);
+            assert_eq!(m.deferred.len(), 8, "threads={threads}");
+            // Catching everyone up empties it.
+            m.catch_up_to(13);
+            assert!(m.deferred.is_empty(), "threads={threads}");
         }
     }
 

@@ -1,13 +1,11 @@
 //! The request network: the SMs→partitions crossbar, ejecting into each
 //! partition's ingress port.
 //!
-//! Since DESIGN.md §4l the crossbar edge is no longer forced onto the
-//! per-tick path: while every buffered flit is PIM, no input lane is
-//! full, and every destination lane has provable credit, whole
-//! arbitration cycles are *deferred* — recorded as `(cycle, dram, seen)`
-//! markers — and replayed in order at the next flush, ejecting each
-//! grant into its partition's timestamped staged-ingress schedule
-//! instead of through an eager per-eject catch-up.
+//! The crossbar arbitrates live on every stepped cycle, and each grant
+//! hands off through [`MemoryStage::partition_mut`] →
+//! [`crate::partition::Partition::try_accept`]: the partition is caught
+//! up on any memory visits the stage deferred before the flit lands, so
+//! an arrival never falls inside an unaccounted window.
 
 use pimsim_component::Component;
 use pimsim_noc::{Crossbar, CrossbarStats};
@@ -15,20 +13,10 @@ use pimsim_types::{Cycle, Request, SystemConfig};
 
 use super::memory::MemoryStage;
 
-/// An arbitration cycle whose live step was deferred: the GPU cycle, its
-/// first DRAM tick, and the crossbar's cumulative injection count at
-/// defer time (the visibility horizon for the replay).
-type DeferredCycle = (Cycle, Cycle, u64);
-
 /// The SMs→partitions crossbar (iSlip-arbitrated, per-VC input queues).
 #[derive(Debug)]
 pub struct RequestNet {
     xbar: Crossbar,
-    /// Deferred arbitration cycles awaiting replay, chronological.
-    pending: Vec<DeferredCycle>,
-    /// Whether live arbitration cycles may eject through the staged
-    /// batch path (the eject-batching toggle, mirrored from the system).
-    batched: bool,
 }
 
 impl RequestNet {
@@ -42,15 +30,7 @@ impl RequestNet {
                 cfg.noc.vc_mode,
             )
             .with_iterations(cfg.noc.islip_iterations),
-            pending: Vec::new(),
-            batched: true,
         }
-    }
-
-    /// Mirrors the system's eject-batching toggle. Off, live arbitration
-    /// ejects through the historical per-eject catch-up path only.
-    pub fn set_batched(&mut self, on: bool) {
-        self.batched = on;
     }
 
     /// Whether input port `input` can accept a request of this class.
@@ -58,8 +38,7 @@ impl RequestNet {
         self.xbar.can_inject(input, is_pim)
     }
 
-    /// Injects a request whose credit the caller already checked,
-    /// stamping it with the injection cycle.
+    /// Injects a request whose credit the caller already checked.
     ///
     /// # Panics
     ///
@@ -71,13 +50,9 @@ impl RequestNet {
             .expect("capacity checked");
     }
 
-    /// Flits in flight on the request path: buffered in the crossbar
-    /// (including those whose ejection is deferred) plus flits already
-    /// ejected into a partition's staged-ingress schedule but not yet
-    /// delivered. The fast-forward probe must see both, or it would
-    /// report the network quiet while an eject batch is pending.
-    pub fn occupancy(&self, memory: &MemoryStage) -> usize {
-        self.xbar.total_occupancy() + memory.staged_ejects()
+    /// Flits buffered in the crossbar's input queues.
+    pub fn occupancy(&self) -> usize {
+        self.xbar.total_occupancy()
     }
 
     /// Crossbar counters.
@@ -85,157 +60,10 @@ impl RequestNet {
         self.xbar.stats()
     }
 
-    /// Deferred arbitration cycles awaiting replay.
-    pub fn pending_cycles(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// The earliest cycle at or after `now` at which the request path
-    /// can do work, or `None` while it is truly drained — no buffered
-    /// flit, no deferred arbitration cycle, no staged-but-undelivered
-    /// ejection anywhere.
-    pub fn horizon(&self, now: Cycle, memory: &MemoryStage) -> Option<Cycle> {
-        (self.xbar.total_occupancy() > 0 || !self.pending.is_empty() || memory.staged_ejects() > 0)
-            .then_some(now)
-    }
-
-    /// Tries to defer this cycle's arbitration (DESIGN.md §4l). Returns
-    /// `true` when the cycle was recorded for later replay (or was a
-    /// provable no-op); `false` means the caller must flush and step
-    /// live. Deferral is refused whenever its exactness argument does
-    /// not hold:
-    ///
-    /// * a MEM flit is buffered — its L2-hit reply timing is not covered
-    ///   by the PIM completion-latency bound;
-    /// * some input lane is full — a deferred ejection could then change
-    ///   a `can_inject` verdict the live schedule would have answered
-    ///   differently (with no lane full, the issue stage's one-injection-
-    ///   per-SM-per-cycle bound keeps verdicts identical until the next
-    ///   per-cycle check);
-    /// * some destination lane lacks credit for every flit buffered
-    ///   toward it — replayed ejections must never be refused, so all
-    ///   buffered flits must provably fit even if they all eject before
-    ///   the next flush (lane occupancy only shrinks as the partition
-    ///   replays forward, so the check is conservative-safe).
-    pub fn try_defer_cycle(
-        &mut self,
-        now: Cycle,
-        first_dram: Cycle,
-        memory: &mut MemoryStage,
-    ) -> bool {
-        if self.xbar.total_occupancy() == 0 {
-            // The live step would early-return without touching arbiter
-            // state; nothing to record.
-            debug_assert!(self.pending.is_empty());
-            return true;
-        }
-        if self.xbar.buffered_mem() > 0 || self.xbar.has_full_input_lane() {
-            return false;
-        }
-        // Replay ejects at most one flit per deferred cycle into any
-        // given destination lane, and every flit it ejects is still
-        // buffered at the moment the window's last cycle is recorded —
-        // so a lane needs credit for `min(buffered, window length)`
-        // arrivals, not for everything queued toward it. The window
-        // resets at every flush, which keeps the requirement small even
-        // when a destination is heavily backed up.
-        //
-        // A lane can still starve: a partition that defers for a long
-        // stretch accumulates staged arrivals that all reserve credit
-        // until its visits replay. That is lag, not backpressure, so it
-        // is rescued rather than refused — flush (catch-up replays
-        // visits past every deferred grant cycle, so ejections must be
-        // staged first), catch up just the starving partition (its
-        // staged arrivals deliver and its lane drains through the exact
-        // live replay paths), and re-check. A dest that starves even
-        // freshly caught up is genuinely backpressured; refuse and let
-        // the live schedule apply it.
-        let mut rescued = false;
-        loop {
-            let window = self.pending.len() + 1;
-            let mut starving = None;
-            'scan: for dest in 0..self.xbar.num_outputs() {
-                for vc in 0..self.xbar.vc_count() {
-                    let need = self.xbar.buffered_for(dest, vc).min(window);
-                    if need > 0 && need > memory.eject_credit(dest, vc) {
-                        starving = Some(dest);
-                        break 'scan;
-                    }
-                }
-            }
-            let Some(dest) = starving else { break };
-            if rescued && memory.staged_ejects_for(dest) == 0 {
-                return false;
-            }
-            self.flush_into(memory);
-            memory.partition_mut(dest);
-            rescued = true;
-        }
-        self.pending
-            .push((now, first_dram, self.xbar.stats().injected));
-        true
-    }
-
-    /// Replays every deferred arbitration cycle in order, ejecting each
-    /// grant into its destination partition's staged-ingress schedule
-    /// with the grant cycle as its delivery timestamp. Returns whether
-    /// any cycle was replayed.
-    ///
-    /// Ejections here are unconditional: [`RequestNet::try_defer_cycle`]
-    /// proved credit for every buffered flit before each cycle was
-    /// recorded, so a refusal would be a bookkeeping bug (the partition
-    /// asserts acceptance at delivery time).
-    pub fn flush_into(&mut self, memory: &mut MemoryStage) -> bool {
-        if self.pending.is_empty() {
-            return false;
-        }
-        for &(gpu, dram, injected_upto) in &self.pending {
-            self.xbar.replay_cycle(gpu, injected_upto, |out, vc, req| {
-                memory.stage_eject(out, vc, *req, gpu, dram);
-                true
-            });
-        }
-        self.pending.clear();
-        true
-    }
-
-    /// One live arbitration cycle (the path taken whenever
-    /// [`RequestNet::try_defer_cycle`] refuses). Even here, grants avoid
-    /// the per-eject catch-up: a PIM flit whose destination lane has
-    /// provable credit — net of staged arrivals, so the stale count is
-    /// an upper bound on the live one and acceptance is certain — is
-    /// ejected into the staged-ingress schedule timestamped `now`, which
-    /// the visit for this very cycle delivers at the same point the
-    /// eager schedule would. Only a MEM flit or a credit-exhausted lane
-    /// falls back to the exact hand-off: catch the partition up, land
-    /// any arrivals staged for this cycle first (they precede this grant
-    /// in the eager lane order), then [`crate::partition::Partition::try_accept`]
-    /// with live backpressure. The caller must flush deferred cycles
-    /// first so ejections land in arrival order.
-    pub fn step_live(&mut self, now: Cycle, first_dram: Cycle, memory: &mut MemoryStage) {
-        debug_assert!(self.pending.is_empty(), "flush before stepping live");
-        if !self.batched {
-            self.xbar.step(now, |out, vc, req| {
-                memory.partition_mut(out).try_accept(vc, *req)
-            });
-            return;
-        }
-        self.xbar.step(now, |out, vc, req| {
-            if req.kind.is_pim() && memory.eject_credit(out, vc) > 0 {
-                memory.stage_eject(out, vc, *req, now, first_dram);
-                return true;
-            }
-            let p = memory.partition_mut(out);
-            p.flush_staged(now);
-            p.try_accept(vc, *req)
-        });
-    }
-
     /// Advances the crossbar over a span it is known to be quiet (see
     /// [`pimsim_noc::Crossbar::skip_quiet_span`]); `true` iff the span
     /// collapsed to a no-op because nothing was buffered.
     pub fn skip_quiet_span(&mut self, first: Cycle, cycles: u64) -> bool {
-        debug_assert!(self.pending.is_empty(), "cannot skip over deferred cycles");
         self.xbar.skip_quiet_span(first, cycles)
     }
 }
@@ -247,91 +75,15 @@ impl Component for RequestNet {
         "request-net"
     }
 
-    /// One live arbitration cycle through the historical per-eject
-    /// catch-up path; the system calls [`RequestNet::step_live`], which
-    /// honours the eject-batching toggle.
+    /// One arbitration cycle; each grant ejects into its partition's
+    /// ingress lane with live backpressure.
     fn step(&mut self, now: Cycle, memory: &mut MemoryStage) {
-        debug_assert!(self.pending.is_empty(), "flush before stepping live");
         self.xbar.step(now, |out, vc, req| {
             memory.partition_mut(out).try_accept(vc, *req)
         });
     }
 
     fn next_activity_cycle(&self, now: Cycle) -> Option<Cycle> {
-        (self.xbar.total_occupancy() > 0 || !self.pending.is_empty()).then_some(now)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use std::sync::Arc;
-
-    use pimsim_core::PolicyKind;
-    use pimsim_dram::AddressMapper;
-    use pimsim_types::{AppId, PhysAddr, PimCommand, PimOpKind, RequestId, RequestKind};
-
-    use super::*;
-
-    fn pim_req(id: u64, channel: u16) -> Request {
-        Request::new(
-            RequestId(id),
-            AppId::PIM,
-            RequestKind::Pim(PimCommand {
-                op: PimOpKind::RfLoad,
-                channel,
-                row: 0,
-                col: 0,
-                rf_entry: 0,
-                block_start: false,
-                block_id: id,
-            }),
-            PhysAddr(0),
-            0,
-            0,
-        )
-    }
-
-    /// Regression for the fast-forward probe: a flit that has left the
-    /// crossbar but sits staged-and-undelivered in a partition schedule
-    /// must still count as request-path occupancy and keep the horizon
-    /// busy — otherwise an idle-span skip could jump over its delivery
-    /// cycle.
-    #[test]
-    fn probe_sees_staged_but_undelivered_ejects() {
-        let cfg = SystemConfig::default();
-        let mapper = Arc::new(AddressMapper::new(
-            &cfg.addr_map,
-            &cfg.dram,
-            cfg.dram_word_bytes(),
-        ));
-        let mut memory = MemoryStage::new(&cfg, PolicyKind::FrFcfs, Arc::clone(&mapper));
-        let mut net = RequestNet::new(&cfg);
-        assert!(net.horizon(0, &memory).is_none(), "fresh path is quiet");
-
-        net.inject(0, 0, pim_req(1, 0), 0);
-        assert!(
-            net.try_defer_cycle(0, 0, &mut memory),
-            "pure-PIM cycle defers"
-        );
-        assert_eq!(net.pending_cycles(), 1);
-        assert_eq!(net.occupancy(&memory), 1);
-        assert!(net.horizon(0, &memory).is_some());
-
-        assert!(net.flush_into(&mut memory));
-        // The flit left the crossbar (ejected) but has not been delivered
-        // into its ingress lane yet; the probe must still see it.
-        assert_eq!(net.stats().ejected, 1);
-        assert_eq!(memory.staged_ejects(), 1);
-        assert_eq!(net.occupancy(&memory), 1, "staged eject still in flight");
-        assert!(
-            net.horizon(0, &memory).is_some(),
-            "probe must not report quiet while an eject batch is pending"
-        );
-
-        // Stepping the stage visit for the arrival cycle delivers it.
-        memory.step_cycle_all(0, 0, 0, &mapper);
-        assert_eq!(memory.staged_ejects(), 0);
-        assert_eq!(net.occupancy(&memory), 0);
-        assert!(net.horizon(0, &memory).is_none(), "drained path is quiet");
+        self.xbar.next_activity_cycle(now)
     }
 }

@@ -122,10 +122,7 @@ impl Simulator {
         mix.ticks_reply_net = t.reply_net;
         mix.ticks_completion = t.completion;
         mix.completions_delivered = self.completion_stage_delivered();
-        let (eject_batches, requests_batched, replay_batches, replayed_visits) =
-            self.memory.batching_counters();
-        mix.eject_batches = eject_batches;
-        mix.requests_batched = requests_batched;
+        let (replay_batches, replayed_visits) = self.memory.replay_counters();
         mix.replay_batches = replay_batches;
         mix.replayed_visits = replayed_visits;
         mix

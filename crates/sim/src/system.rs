@@ -125,9 +125,6 @@ pub struct Simulator {
     /// Retire-time ack batching (on by default; see
     /// [`Simulator::set_ack_batching`]).
     ack_batching: bool,
-    /// Timestamped eject batching (on by default; see
-    /// [`Simulator::set_eject_batching`]).
-    eject_batching: bool,
     /// Number of idle-span jumps taken.
     skips: u64,
     /// GPU cycles covered by those jumps (not stepped one by one).
@@ -163,7 +160,6 @@ impl Simulator {
             fast_forward: true,
             event_delivery: true,
             ack_batching: true,
-            eject_batching: true,
             skips: 0,
             skipped_cycles: 0,
             stage_ticks: StageTicks::default(),
@@ -262,36 +258,12 @@ impl Simulator {
         self.ack_batching
     }
 
-    /// Enables or disables timestamped eject batching (on by default).
-    /// With it on, whole request-crossbar arbitration cycles are
-    /// deferred while every buffered flit is PIM, no input lane is full,
-    /// and every destination lane has provable credit; at the next flush
-    /// the deferred cycles replay in order and each grant lands in its
-    /// partition's staged-ingress schedule, timestamped with the grant
-    /// cycle, instead of forcing an eager per-eject catch-up
-    /// (DESIGN.md §4l). With it off, the crossbar arbitrates every
-    /// stepped cycle — the eager oracle. Both modes produce bit-identical
-    /// observables (cycle counts, McStats, goldens); only the step mix's
-    /// tick counters differ.
-    pub fn set_eject_batching(&mut self, on: bool) {
-        self.eject_batching = on;
-        self.request_net.set_batched(on);
-    }
-
-    /// Whether timestamped eject batching is enabled.
-    pub fn eject_batching(&self) -> bool {
-        self.eject_batching
-    }
-
     /// Replays any deferred memory-stage production up to the current
     /// DRAM service point. Must run before stats are harvested or
     /// partitions are inspected out of band — the run loop calls it on
     /// both exits so end-of-run observers never see a partition whose
     /// deferred span is unaccounted.
     pub(crate) fn sync_memory(&mut self) {
-        // Deferred arbitration cycles stage their ejections first so the
-        // catch-up replay delivers them at their exact arrival cycles.
-        self.request_net.flush_into(&mut self.memory);
         self.memory.catch_up_to(self.clock.dram_now());
     }
 
@@ -379,10 +351,10 @@ impl Simulator {
         &self.cfg
     }
 
-    /// Total flits in flight on the request path: buffered in the
-    /// crossbar's input queues plus staged-but-undelivered ejections.
+    /// Total flits in flight on the request path (buffered in the
+    /// crossbar's input queues).
     pub fn request_noc_occupancy(&self) -> usize {
-        self.request_net.occupancy(&self.memory)
+        self.request_net.occupancy()
     }
 
     /// Request-network counters.
@@ -416,28 +388,12 @@ impl Simulator {
         self.stage_ticks.issue += 1;
         Self::lap(&mut mark, &mut prof, |p| &mut p.issue_ns);
 
-        // 2. Request network ejects into partition ingress ports.
-        // Timestamped eject batching: while every buffered flit is PIM,
-        // no input lane is full, and every destination lane has provable
-        // credit, this cycle's arbitration is recorded instead of run —
-        // it replays bit-identically at the next flush (before any live
-        // memory step, so ejections always land in arrival order), with
-        // each grant deposited into its partition's staged-ingress
-        // schedule rather than through the per-eject catch-up path.
-        // Deferred cycles do not count as request-net ticks: that
-        // asymmetry is the measured win (the `ticks_request_net` gate).
-        if self.eject_batching
-            && self
-                .request_net
-                .try_defer_cycle(now, self.clock.dram_now(), &mut self.memory)
-        {
-            // Recorded for replay; nothing runs this cycle.
-        } else {
-            self.request_net.flush_into(&mut self.memory);
-            self.request_net
-                .step_live(now, self.clock.dram_now(), &mut self.memory);
-            self.stage_ticks.request_net += 1;
-        }
+        // 2. Request network ejects into partition ingress ports. Each
+        // grant catches its partition up on deferred memory visits first
+        // (`MemoryStage::partition_mut`), so it lands at the exact live
+        // state.
+        self.request_net.step(now, &mut self.memory);
+        self.stage_ticks.request_net += 1;
         Self::lap(&mut mark, &mut prof, |p| &mut p.request_net_ns);
 
         // 3+4. The memory stage's whole cycle: L2 front halves (GPU
@@ -449,39 +405,28 @@ impl Simulator {
         // Retire-time batching: when every partition reports a bulk
         // horizon covering this visit's window — MEM-side state quiet,
         // controllers idle / in plan or stall windows / simply unable to
-        // complete anything within `min_completion_latency` ticks, and
-        // at most pure-PIM work staged in the ports — the whole cycle is
-        // recorded as deferred instead of stepped. Partitions replay
-        // their share of the recorded visits lazily: on the next eject
-        // into them (`partition_mut`), on the next live step, or at the
-        // next global catch-up — through the exact live code paths, so
-        // state is bit-identical and no observable (reply, ack, fill)
-        // could have surfaced inside the window. Deferred cycles do not
-        // count as memory-stage ticks: that asymmetry *is* the measured
-        // win (the `ticks_memory` gate).
-        // Arbitration cycles still deferred on the request side carry
-        // only PIM flits (a buffered MEM flit refuses the request-side
-        // defer and the cycle steps live), and PIM acks are pulled by
-        // the delivery stage after replay — so in-flight deferred
-        // arrivals never bound the memory window.
+        // complete a MEM request within `min_completion_latency` ticks,
+        // and at most pure-PIM work waiting in the ports — the whole
+        // cycle is recorded as deferred instead of stepped. Partitions
+        // replay their share of the recorded visits lazily: on the next
+        // eject into them (`partition_mut`), before an ack drain that
+        // could owe their acks, on the next live step, or at the next
+        // global catch-up — through the exact live code paths, so state
+        // is bit-identical and no observable (reply, ack, fill) could
+        // have surfaced inside the window. Deferred cycles do not count
+        // as memory-stage ticks: that asymmetry *is* the measured win
+        // (the `ticks_memory` gate).
         let dram_end = first_dram + dram_ticks;
         let deferrable = self.ack_batching
-            && (self.memory.can_defer_through(dram_end) || {
+            && (self.memory.can_defer_through(dram_end)
                 // Second chance: a refusal from a *lagging* partition
-                // reflects a horizon frozen at its last sync point,
-                // not the live schedule. Stage any deferred ejections
-                // (catch-up replays visits past their grant cycles),
-                // catch up just the refusing partitions, and
-                // re-check.
-                self.request_net.flush_into(&mut self.memory);
-                self.memory.refresh_lagging_through(dram_end)
-            });
+                // reflects a horizon frozen at its last sync point, not
+                // the live schedule. Catch up just the refusing
+                // partitions and re-check.
+                || self.memory.refresh_lagging_through(dram_end));
         if deferrable {
             self.memory.defer_cycle(now, first_dram, dram_ticks);
         } else {
-            // Stage any deferred ejections first: the live step must see
-            // every arrival the eager schedule would have delivered.
-            self.request_net.flush_into(&mut self.memory);
             self.memory
                 .step_cycle_all(now, first_dram, dram_ticks, &self.mapper);
             self.stage_ticks.memory += 1;
@@ -513,9 +458,7 @@ impl Simulator {
             // limit. Eager production pops each completion on its own
             // tick with the same bound, so both modes drain identically.
             // Production is pull-driven: the drain replays lagging
-            // partitions first, so deferred ejections must be staged
-            // like at every other catch-up entry point.
-            self.request_net.flush_into(&mut self.memory);
+            // partitions that could owe a due ack first.
             let ack_limit = self.clock.dram_now().saturating_sub(1);
             self.completion.collect_acks(
                 &mut self.memory,
@@ -537,11 +480,6 @@ impl Simulator {
         let reply_active =
             !self.event_delivery || self.memory.replies_pending() || self.reply_net.has_traffic();
         if reply_active {
-            // The reply network pops partition wires through
-            // `partition_mut`, whose catch-up replays deferred memory
-            // visits; deferred ejections must be staged first or the
-            // replay would run those visits without their arrivals.
-            self.request_net.flush_into(&mut self.memory);
             let mut delivered = self.completion.begin_replies();
             self.reply_net.step(
                 now,
@@ -611,11 +549,9 @@ impl Simulator {
         if !self.completion.inflight().is_empty() {
             return false;
         }
-        // Both horizons fold in work parked outside the bare crossbars:
-        // replies queued in partition wires but not yet injected, and
-        // request-side ejections staged in partition schedules (or whole
-        // arbitration cycles awaiting replay) but not yet delivered.
-        if self.request_net.horizon(now, &self.memory).is_some()
+        // The reply horizon folds in replies queued in partition wires
+        // but not yet injected.
+        if self.request_net.next_activity_cycle(now).is_some()
             || self.reply_net.horizon(now, &self.memory).is_some()
         {
             return false;

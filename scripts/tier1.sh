@@ -47,18 +47,20 @@ cargo run -q --release -p pimsim-cli --bin pimsim -- \
 # in BENCH_hotloop.json — it trips on asymptotic regressions (a per-tick
 # scan creeping back into the busy path), not machine noise. The smoke
 # writes no JSON so the committed best-of-3 numbers are preserved.
-# The hotloop binary itself also fails the smoke if burst retirement
-# disengages (zero burst hit rate on standalone_pim), if any scenario
-# takes fewer fast-forward skips or runs more reply-network ticks than
-# BENCH_hotloop.json records (DESIGN.md §4h), or if event-driven
-# completion delivery disengages: on standalone_pim the reply-net + completion stages must
-# run at least 5x fewer ticks than the eager 2-ticks-per-stepped-cycle
-# baseline (DESIGN.md §4i), or if retire-time completion batching
-# disengages: on both standalone PIM scenarios (HBM and lp5x:ranks=4)
-# the memory stage must run at least 3x fewer ticks than stepped cycles
-# and at least one ack must travel in a retire-time batch (DESIGN.md
-# §4k). Tick counts are deterministic, so those gates are structural —
-# immune to host noise.
+# The hotloop binary itself also fails the smoke when a deterministic
+# counter moves the wrong way against BENCH_hotloop.json on any
+# scenario: fewer fast-forward skips; more memory-stage, reply-network
+# or completion-stage ticks; more controller full steps; or fewer memo
+# replays, plan-retired cycles or burst plans (DESIGN.md §4g-§4k). It
+# also fails if burst retirement disengages (zero burst hit rate on
+# standalone_pim, §4h), if event-driven completion delivery disengages
+# (on standalone_pim the reply-net + completion stages must run at least
+# 5x fewer ticks than the eager 2-ticks-per-stepped-cycle baseline,
+# §4i), or if retire-time completion batching disengages (on both
+# standalone PIM scenarios, HBM and lp5x:ranks=4, the memory stage must
+# run at least 3x fewer ticks than stepped cycles and at least one ack
+# must travel in a retire-time batch, §4k). Tick counts are
+# deterministic, so those gates are structural — immune to host noise.
 HOTLOOP_REPS=1 HOTLOOP_FLOOR=25000 HOTLOOP_OUT="" \
   cargo run -q --release -p pimsim-bench --bin hotloop
 
