@@ -14,8 +14,7 @@
 //! fast path pays) and how many pairs the default won. Pairing inside
 //! one process exposes both runs to the same host load, which resolves
 //! effects of a few percent that separate processes cannot. The host's
-//! CPU count is recorded alongside: memory width 2 can only pay with a
-//! second core to run on.
+//! CPU count is recorded alongside.
 
 use std::time::Instant;
 
@@ -29,11 +28,10 @@ const PAIRS: usize = 30;
 /// fast path switched off.
 type Switch = fn(&mut Runner);
 
-/// Runs scenario `name` once under `switch`, on a serial memory stage
-/// whatever `PIMSIM_THREADS` says; returns the simulated cycles.
+/// Runs scenario `name` once under `switch`; returns the simulated
+/// cycles.
 fn run(name: &str, switch: Switch) -> u64 {
     let mut r = hotloop_runner(name);
-    r.memory_threads = Some(1);
     switch(&mut r);
     run_hotloop_scenario(name, &r)
 }
@@ -63,11 +61,10 @@ fn main() {
     header("Fast-path ablation: wall time with one switch flipped / default (median of pairs)");
     println!("  host CPUs: {host_cpus}, {PAIRS} interleaved pairs per cell\n");
     let default: Switch = |_| {};
-    let switches: [(&str, Switch); 4] = [
+    let switches: [(&str, Switch); 3] = [
         ("fast_forward_off", |r| r.fast_forward = false),
         ("event_delivery_off", |r| r.event_delivery = false),
         ("ack_batching_off", |r| r.ack_batching = false),
-        ("memory_width_2", |r| r.memory_threads = Some(2)),
     ];
     let mut entries = Vec::new();
     for name in HOTLOOP_SCENARIOS {

@@ -83,8 +83,8 @@ impl BenchArgs {
                 other => usage(&format!("unknown flag: {other}")),
             }
         }
-        if args.scale <= 0.0 {
-            usage("--scale must be positive");
+        if !pimsim_workloads::valid_scale(args.scale) {
+            usage("--scale must be finite and positive");
         }
         args
     }

@@ -190,8 +190,15 @@ pub fn parse_args(args: &[String]) -> Result<Command, ParseCliError> {
                     other => return err(format!("unknown flag: {other}")),
                 }
             }
-            if opts.scale <= 0.0 {
-                return err("--scale must be positive");
+            if !pimsim_workloads::valid_scale(opts.scale) {
+                return err(format!(
+                    "--scale must be finite and positive, got {}",
+                    opts.scale
+                ));
+            }
+            let num_sms = system_for(&opts).gpu.num_sms;
+            if !(1..=num_sms).contains(&opts.sms) {
+                return err(format!("--sms must be in 1..={num_sms}, got {}", opts.sms));
             }
             for (key, value) in [("mem-cap", mem_cap), ("pim-cap", pim_cap)] {
                 if let Some(v) = value {
@@ -576,6 +583,24 @@ mod tests {
         assert!(e.0.contains("unsigned"), "{e}");
         let e = parse_args(&args("standalone --pim P1 --dram hbm:ranks=4")).unwrap_err();
         assert!(e.0.contains("no tunable parameter"), "{e}");
+    }
+
+    #[test]
+    fn rejects_sms_outside_the_gpu() {
+        for sms in [0, 81] {
+            let e = parse_args(&args(&format!("standalone --gpu G4 --sms {sms}"))).unwrap_err();
+            assert!(e.0.contains("--sms must be in 1..=80"), "{e}");
+        }
+        assert!(parse_args(&args("standalone --gpu G4 --sms 1")).is_ok());
+        assert!(parse_args(&args("standalone --gpu G4 --sms 80")).is_ok());
+    }
+
+    #[test]
+    fn rejects_scales_that_are_not_finite_and_positive() {
+        for scale in ["nan", "inf", "-inf", "0", "-0.5"] {
+            let e = parse_args(&args(&format!("standalone --pim P1 --scale {scale}"))).unwrap_err();
+            assert!(e.0.contains("--scale must be finite and positive"), "{e}");
+        }
     }
 
     #[test]

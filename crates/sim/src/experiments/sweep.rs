@@ -1,24 +1,17 @@
-//! Parallel sweep helper: runs independent simulations across the shared
-//! worker pool ([`pimsim_pool::global`]).
+//! Parallel sweep helper: runs independent simulations side by side on
+//! the process-wide fan-out ([`pimsim_pool::global`]).
 
-use std::sync::{Arc, Mutex};
-
-/// Chunk jobs push their `(input index, output)` pairs here; the caller
-/// merges the chunks back into input order after the batch joins.
-type ChunkBin<T> = Arc<Mutex<Vec<Vec<(usize, T)>>>>;
-
-/// Applies `f` to every item, fanning out across the process-wide worker
-/// pool, and returns results in input order.
+/// Applies `f` to every item, fanning out across the process-wide
+/// fan-out, and returns results in input order.
 ///
-/// Items are split into chunks (a few per pool lane, so heterogeneous
-/// simulation lengths still balance); each chunk job computes its outputs
-/// into a plain `Vec<(index, T)>` and pushes the whole chunk into a
-/// shared bin, merged back into input order at join. A panic in any
-/// worker propagates to the caller.
+/// Each item is claimed on its own, so simulations of uneven length
+/// balance across threads. A panic in any item propagates to the caller
+/// with its own payload, and a call from inside another sweep's item
+/// runs inline.
 ///
-/// The pool is sized by `PIMSIM_THREADS` when set, else by the machine's
-/// available parallelism; at width 1 this degenerates to a plain serial
-/// map on the calling thread.
+/// The width is `PIMSIM_THREADS` when set, else the machine's available
+/// parallelism; at width 1 this is a plain serial map on the calling
+/// thread.
 ///
 /// # Example
 ///
@@ -30,57 +23,11 @@ type ChunkBin<T> = Arc<Mutex<Vec<Vec<(usize, T)>>>>;
 /// ```
 pub fn parallel_map<I, T, F>(items: Vec<I>, f: F) -> Vec<T>
 where
-    I: Send + 'static,
-    T: Send + 'static,
-    F: Fn(I) -> T + Send + Sync + 'static,
+    I: Send,
+    T: Send,
+    F: Fn(I) -> T + Sync,
 {
-    let n = items.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let pool = pimsim_pool::global();
-    let threads = pool.threads().min(n);
-    if threads <= 1 {
-        return items.into_iter().map(f).collect();
-    }
-    // A few chunks per lane: coarse enough to amortize dispatch, fine
-    // enough that one long chunk can't leave the other lanes idle.
-    let chunk_len = n.div_ceil(threads * 4).max(1);
-    let f = Arc::new(f);
-    let bin: ChunkBin<T> = Arc::new(Mutex::new(Vec::new()));
-    let mut jobs: Vec<pimsim_pool::Job> = Vec::with_capacity(n.div_ceil(chunk_len));
-    let mut items = items.into_iter();
-    let mut base = 0usize;
-    loop {
-        let chunk: Vec<I> = items.by_ref().take(chunk_len).collect();
-        if chunk.is_empty() {
-            break;
-        }
-        let start = base;
-        base += chunk.len();
-        let f = Arc::clone(&f);
-        let bin = Arc::clone(&bin);
-        jobs.push(Box::new(move || {
-            let out: Vec<(usize, T)> = chunk
-                .into_iter()
-                .enumerate()
-                .map(|(i, item)| (start + i, f(item)))
-                .collect();
-            bin.lock().expect("result bin poisoned").push(out);
-        }));
-    }
-    pool.run_batch(jobs); // propagates worker panics
-    let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    for chunk in bin.lock().expect("result bin poisoned").drain(..) {
-        for (idx, value) in chunk {
-            debug_assert!(slots[idx].is_none(), "index produced twice");
-            slots[idx] = Some(value);
-        }
-    }
-    slots
-        .into_iter()
-        .map(|slot| slot.expect("every index filled"))
-        .collect()
+    pimsim_pool::global().map(items, f)
 }
 
 #[cfg(test)]
@@ -136,9 +83,8 @@ mod tests {
 
     #[test]
     fn nests_without_deadlocking() {
-        // A sweep whose jobs themselves call parallel_map (as simulations
-        // with a parallel memory stage do, via the shared pool) must
-        // complete — inner calls degrade to inline execution.
+        // A sweep whose items themselves call parallel_map must
+        // complete — inner calls run inline.
         let out = parallel_map((0..8u64).collect(), |x| {
             parallel_map((0..8u64).collect(), move |y| x * 8 + y)
                 .into_iter()

@@ -121,10 +121,10 @@ impl Partition {
     /// from this partition's own ID lane:
     /// `INTERNAL_ID_BIT | (channel << INTERNAL_LANE_SHIFT) | counter`.
     ///
-    /// Minting touches no cross-partition state, so partitions can step
-    /// concurrently, and the sequence a partition mints depends only on
-    /// its own traffic — identical whether the stage runs serial or
-    /// parallel, with fast-forward on or off.
+    /// The sequence depends only on this partition's own traffic, so it
+    /// is the same with fast-forward on or off. It is monotone, which the
+    /// controller's completion-heap tie-break needs, and the golden
+    /// fixtures depend on it.
     pub(crate) fn mint_internal_id(&mut self) -> RequestId {
         debug_assert!(
             self.next_internal_id < 1 << INTERNAL_LANE_SHIFT,
@@ -796,9 +796,8 @@ mod tests {
     #[test]
     fn internal_id_lanes_never_collide_across_channels() {
         // One partition per channel, each minting a burst of internal IDs:
-        // every ID must be unique, tagged, and monotone within its lane —
-        // the exact properties parallel stepping and the completion-heap
-        // tie-break rely on.
+        // every ID must be unique and tagged, and monotone within its lane
+        // for the completion-heap tie-break.
         let c = cfg();
         let mut seen = std::collections::HashSet::new();
         for ch in 0..32 {

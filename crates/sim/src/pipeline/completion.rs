@@ -14,13 +14,11 @@ pub const INTERNAL_ID_BIT: u64 = 1 << 63;
 /// `INTERNAL_ID_BIT | (channel << INTERNAL_LANE_SHIFT) | counter`.
 ///
 /// Each partition mints internal IDs from its own counter (the lane), so
-/// minting needs no cross-partition state — the requirement for stepping
-/// partitions in parallel — while IDs stay globally unique (seven lane
-/// bits cover up to 128 channels) and monotone *within* a partition.
-/// Within-partition monotonicity is the property the controller's
-/// completion-heap tie-break depends on; internal IDs never cross
-/// partitions, so the cross-partition ordering change relative to the old
-/// global counter is unobservable and golden fixtures are preserved.
+/// IDs stay globally unique (seven lane bits cover up to 128 channels)
+/// and monotone *within* a partition. Within-partition monotonicity is
+/// the property the controller's completion-heap tie-break depends on;
+/// internal IDs never cross partitions, so no heap compares two lanes.
+/// The golden fixtures depend on this order.
 pub const INTERNAL_LANE_SHIFT: u32 = 56;
 
 /// One slot of the [`InflightTable`].

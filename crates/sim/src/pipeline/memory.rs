@@ -1,19 +1,6 @@
 //! The memory stage: every per-channel partition (L2 slice + memory
-//! controller + DRAM/PIM channel), stepped either serially or sharded
-//! across a persistent worker pool.
-//!
-//! # Sharding
-//!
-//! Partitions are shared-nothing per tick: each owns its L2 slice,
-//! controller, and DRAM channel, and the address mapper they all read is
-//! immutable. Cross-partition traffic flows only through the request and
-//! reply crossbars, which run outside this stage. So one GPU cycle's
-//! memory work — the L2 front half plus every pending DRAM tick —
-//! can run per-partition in any order, on any thread, and produce
-//! bit-identical state. [`MemoryStage::step_cycle_all`] exploits that:
-//! with `threads > 1` it boxes each busy partition into a pool job
-//! (ownership moves to the worker and returns through a shared bin);
-//! with `threads == 1` it runs the exact serial loops.
+//! controller + DRAM/PIM channel), stepped serially on the simulation's
+//! own thread.
 //!
 //! # The active set
 //!
@@ -29,30 +16,11 @@
 //! tests). Draining (acks, replies) only removes work, so those paths
 //! never admit a partition.
 
-use std::sync::{Arc, Mutex};
-
 use pimsim_core::PolicyKind;
 use pimsim_dram::AddressMapper;
-use pimsim_pool::{Job, WorkerPool};
 use pimsim_types::{Cycle, Request, SystemConfig};
 
 use crate::partition::Partition;
-
-/// Stepped partitions return from worker jobs through this shared bin,
-/// tagged with their channel so the slots can be refilled.
-type ReturnBin = Arc<Mutex<Vec<(usize, Box<Partition>)>>>;
-
-/// Which executor parallel dispatch uses.
-#[derive(Debug)]
-enum StagePool {
-    /// `threads == 1`: no dispatch, pure serial loops.
-    Serial,
-    /// The process-wide pool has enough lanes; share it.
-    Global,
-    /// The requested width exceeds the global pool (e.g. a determinism
-    /// test forcing 8-way on a small machine); own a dedicated pool.
-    Owned(WorkerPool),
-}
 
 /// The channels whose partitions may hold work, as a bitset. 128 bits
 /// cover every legal channel index (the partitions' internal request-ID
@@ -92,13 +60,9 @@ impl ActiveSet {
 /// All memory partitions, stepped together in both clock domains: the L2
 /// front halves on the GPU clock, the controllers and DRAM channels on
 /// the DRAM clock.
-///
-/// Partition slots are `Option<Box<..>>` so parallel dispatch can move a
-/// partition into a worker job and take it back afterwards; outside
-/// [`MemoryStage::step_cycle_all`] every slot is `Some`.
 #[derive(Debug)]
 pub struct MemoryStage {
-    partitions: Vec<Option<Box<Partition>>>,
+    partitions: Vec<Partition>,
     /// The partitions that may hold work (see the module docs). A
     /// partition outside the set is idle, and every loop skips it.
     active: ActiveSet,
@@ -120,10 +84,9 @@ pub struct MemoryStage {
     /// [`crate::partition::Partition::replay_spans`] — before anything
     /// can observe their state.
     dram_upto: Cycle,
-    /// The address decoding shared by every partition; stored so the
-    /// eject path can replay a partition's deferred spans without the
-    /// caller threading the mapper through.
-    mapper: Arc<AddressMapper>,
+    /// The address decoding every partition reads, also lent to the
+    /// issue stage ([`MemoryStage::mapper`]).
+    mapper: AddressMapper,
     /// Stage visits skipped by deferral, in order: `(gpu_cycle,
     /// first_dram_tick, dram_ticks)` exactly as [`MemoryStage::step_cycle_all`]
     /// would have received them. Replayed per partition on demand; the
@@ -150,70 +113,49 @@ pub struct MemoryStage {
     /// by `replay_batches` this is the mean deferral window (DESIGN.md
     /// §4k).
     replayed_visits: u64,
-    threads: usize,
-    pool: StagePool,
-    bin: ReturnBin,
 }
 
 impl MemoryStage {
     /// Builds one partition per DRAM channel, each with its own policy
-    /// instance. The shard count defaults to `PIMSIM_THREADS` when set,
-    /// else 1 (serial — the historical default).
-    pub fn new(cfg: &SystemConfig, policy: PolicyKind, mapper: Arc<AddressMapper>) -> Self {
+    /// instance, and the address mapper for `cfg`'s DRAM backend.
+    pub fn new(cfg: &SystemConfig, policy: PolicyKind) -> Self {
         let channels = cfg.dram.channels;
-        let mut stage = MemoryStage {
+        MemoryStage {
             partitions: (0..channels)
-                .map(|c| Some(Box::new(Partition::new(c, cfg, policy.build()))))
+                .map(|c| Partition::new(c, cfg, policy.build()))
                 .collect(),
             active: ActiveSet::default(),
             replies_pending: false,
             dram_upto: 0,
-            mapper,
+            // Decoder construction goes through the backend registry: the
+            // pipeline stages service whatever substrate
+            // `cfg.dram_backend` names without matching on the kind
+            // themselves.
+            mapper: pimsim_dram::backend::mapper_for(cfg),
             deferred: Vec::new(),
             synced: vec![0; channels],
             horizon: vec![0; channels],
             stale: vec![true; channels],
             replay_batches: 0,
             replayed_visits: 0,
-            threads: 1,
-            pool: StagePool::Serial,
-            bin: Arc::new(Mutex::new(Vec::with_capacity(channels))),
-        };
-        stage.set_threads(pimsim_pool::env_threads().unwrap_or(1));
-        stage
+        }
     }
 
-    /// Sets the shard width for stepping: 1 = serial (the exact
-    /// single-thread code path), `n > 1` = dispatch busy partitions onto
-    /// a worker pool. Results are bit-identical at every width.
-    pub fn set_threads(&mut self, threads: usize) {
-        let threads = threads.max(1).min(self.partitions.len().max(1));
-        self.threads = threads;
-        self.pool = if threads <= 1 {
-            StagePool::Serial
-        } else if pimsim_pool::global().threads() >= threads {
-            StagePool::Global
-        } else {
-            StagePool::Owned(WorkerPool::new(threads))
-        };
-    }
-
-    /// The configured shard width.
-    pub fn threads(&self) -> usize {
-        self.threads
+    /// The address decoding the partitions use, for the issue stage's
+    /// channel routing.
+    pub fn mapper(&self) -> &AddressMapper {
+        &self.mapper
     }
 
     /// The partition serving channel `c` (shared; leaves the active set
     /// as it is).
     pub fn get(&self, c: usize) -> &Partition {
-        self.partitions[c].as_deref().expect("partition in slot")
+        &self.partitions[c]
     }
 
     /// Iterates all partitions (for stats).
     pub fn iter(&self) -> impl Iterator<Item = &Partition> {
-        self.partitions
-            .iter()
-            .map(|p| p.as_deref().expect("partition in slot"))
+        self.partitions.iter()
     }
 
     /// Mutable access to the partition serving channel `c`. First replays
@@ -228,9 +170,7 @@ impl MemoryStage {
         self.catch_up_partition(c);
         self.active.insert(c);
         self.stale[c] = true;
-        self.partitions[c]
-            .as_deref_mut()
-            .expect("partition in slot")
+        &mut self.partitions[c]
     }
 
     /// Removes channel `c` from the active set if the visit that just
@@ -258,10 +198,7 @@ impl MemoryStage {
         }
         self.replay_batches += 1;
         self.replayed_visits += (n - start) as u64;
-        let p = self.partitions[c]
-            .as_deref_mut()
-            .expect("partition in slot");
-        p.replay_spans(&self.deferred[start..n], &self.mapper);
+        self.partitions[c].replay_spans(&self.deferred[start..n], &self.mapper);
         self.leave_if_idle(c);
     }
 
@@ -362,9 +299,7 @@ impl MemoryStage {
         // Acks pending keep a partition out of idle, so the active set
         // covers every non-empty schedule.
         for c in self.active.iter() {
-            let p = self.partitions[c]
-                .as_deref_mut()
-                .expect("partition in slot");
+            let p = &mut self.partitions[c];
             if p.acks().has_due(limit) {
                 p.acks_mut().drain_due_into(limit, out);
             }
@@ -372,26 +307,18 @@ impl MemoryStage {
     }
 
     /// One full GPU cycle of memory work: the L2 front halves at GPU
-    /// cycle `now`, then `ticks` DRAM ticks starting at `first_dram` —
-    /// serial at width 1, sharded across the pool otherwise.
+    /// cycle `now`, then `ticks` DRAM ticks starting at `first_dram`.
     ///
-    /// Both paths step partition-major: each partition runs its whole
+    /// The loop steps partition-major: each partition runs its whole
     /// cycle (L2 step plus its DRAM ticks) before the next partition
-    /// starts. Interleaving across partitions cannot matter — they are
-    /// shared-nothing within the stage — so per-partition state, and
-    /// therefore every downstream observable, is bit-identical to the
-    /// historical tick-major loop and to any parallel schedule.
-    pub fn step_cycle_all(
-        &mut self,
-        now: Cycle,
-        first_dram: Cycle,
-        ticks: u64,
-        mapper: &Arc<AddressMapper>,
-    ) {
+    /// starts. Partitions share nothing within the stage, so the
+    /// interleaving cannot matter: per-partition state, and therefore
+    /// every downstream observable, is bit-identical to the historical
+    /// tick-major loop.
+    pub fn step_cycle_all(&mut self, now: Cycle, first_dram: Cycle, ticks: u64) {
         // Stage visits skipped by deferral are replayed first, inside the
-        // same per-partition visit (and on the same worker, in the
-        // parallel path): replays run the exact live code paths, so
-        // replay-then-step is exactly the eager order.
+        // same per-partition visit: replays run the exact live code
+        // paths, so replay-then-step is exactly the eager order.
         debug_assert!(self.dram_upto <= first_dram, "DRAM service point ran ahead");
         self.dram_upto = first_dram + ticks;
         // Only active partitions are visited; each leaves the set if its
@@ -399,64 +326,22 @@ impl MemoryStage {
         // visited ones decide the reply summary.
         let n = self.deferred.len();
         let mut replies = false;
-        if self.threads <= 1 {
-            for c in self.active.iter() {
-                let start = self.synced[c];
-                self.stale[c] = true;
-                if start < n {
-                    self.replay_batches += 1;
-                    self.replayed_visits += (n - start) as u64;
-                }
-                let p = self.partitions[c]
-                    .as_deref_mut()
-                    .expect("partition in slot");
-                p.replay_spans(&self.deferred[start..n], mapper);
-                p.step_l2(now);
-                p.step_dram_span(first_dram, ticks, mapper);
-                replies |= !p.reply().is_empty();
-                self.leave_if_idle(c);
-            }
-            self.deferred.clear();
-            self.synced.fill(0);
-            self.replies_pending = replies;
-            return;
-        }
-        let spans: Arc<[(Cycle, Cycle, u64)]> = Arc::from(std::mem::take(&mut self.deferred));
-        let mut jobs: Vec<Job> = Vec::with_capacity(self.partitions.len());
         for c in self.active.iter() {
             let start = self.synced[c];
             self.stale[c] = true;
-            if start < spans.len() {
+            if start < n {
                 self.replay_batches += 1;
-                self.replayed_visits += (spans.len() - start) as u64;
+                self.replayed_visits += (n - start) as u64;
             }
-            let mut p = self.partitions[c].take().expect("partition in slot");
-            let bin = Arc::clone(&self.bin);
-            let mapper = Arc::clone(mapper);
-            let spans = Arc::clone(&spans);
-            jobs.push(Box::new(move || {
-                p.replay_spans(&spans[start..], &mapper);
-                p.step_l2(now);
-                p.step_dram_span(first_dram, ticks, &mapper);
-                bin.lock().expect("partition bin poisoned").push((c, p));
-            }));
-        }
-        self.synced.fill(0);
-        match &self.pool {
-            StagePool::Serial => unreachable!("threads > 1"),
-            StagePool::Global => pimsim_pool::global().run_batch(jobs),
-            StagePool::Owned(pool) => pool.run_batch(jobs),
-        }
-        let mut bin = self.bin.lock().expect("partition bin poisoned");
-        for (c, p) in bin.drain(..) {
-            debug_assert!(self.partitions[c].is_none(), "slot refilled twice");
+            let p = &mut self.partitions[c];
+            p.replay_spans(&self.deferred[start..n], &self.mapper);
+            p.step_l2(now);
+            p.step_dram_span(first_dram, ticks, &self.mapper);
             replies |= !p.reply().is_empty();
-            if p.is_idle(self.dram_upto) {
-                self.active.remove(c);
-            }
-            self.partitions[c] = Some(p);
+            self.leave_if_idle(c);
         }
-        drop(bin);
+        self.deferred.clear();
+        self.synced.fill(0);
         self.replies_pending = replies;
     }
 
@@ -473,7 +358,7 @@ impl MemoryStage {
     /// [`MemoryController::quiet_replay_span`] path
     /// ([`crate::partition::Partition::step_dram_span`] falls back to
     /// exact per-tick stepping if it ever is not).
-    pub fn quiet_replay_all(&mut self, first: Cycle, ticks: u64, mapper: &Arc<AddressMapper>) {
+    pub fn quiet_replay_all(&mut self, first: Cycle, ticks: u64) {
         if ticks == 0 {
             return;
         }
@@ -484,10 +369,7 @@ impl MemoryStage {
         self.dram_upto = first + ticks;
         for c in self.active.iter() {
             self.stale[c] = true;
-            let p = self.partitions[c]
-                .as_deref_mut()
-                .expect("partition in slot");
-            p.step_dram_span(first, ticks, mapper);
+            self.partitions[c].step_dram_span(first, ticks, &self.mapper);
             self.leave_if_idle(c);
         }
     }
@@ -530,8 +412,7 @@ impl MemoryStage {
                     Some(&(_, first, _)) => first,
                     None => self.dram_upto,
                 };
-                let p = self.partitions[c].as_deref().expect("partition in slot");
-                self.horizon[c] = p.bulk_horizon(from).unwrap_or(0);
+                self.horizon[c] = self.partitions[c].bulk_horizon(from).unwrap_or(0);
                 self.stale[c] = false;
             }
             // `0` refuses outright: a partition needing live service
@@ -565,14 +446,12 @@ impl MemoryStage {
                     Some(&(_, first, _)) => first,
                     None => self.dram_upto,
                 };
-                let p = self.partitions[c].as_deref().expect("partition in slot");
-                self.horizon[c] = p.bulk_horizon(from).unwrap_or(0);
+                self.horizon[c] = self.partitions[c].bulk_horizon(from).unwrap_or(0);
                 self.stale[c] = false;
             }
             if (self.horizon[c] == 0 || end > self.horizon[c]) && self.synced[c] < n {
                 self.catch_up_partition(c);
-                let p = self.partitions[c].as_deref().expect("partition in slot");
-                self.horizon[c] = p.bulk_horizon(self.dram_upto).unwrap_or(0);
+                self.horizon[c] = self.partitions[c].bulk_horizon(self.dram_upto).unwrap_or(0);
                 self.stale[c] = false;
             }
             if self.horizon[c] == 0 || end > self.horizon[c] {
@@ -621,23 +500,12 @@ mod tests {
     use super::*;
     use crate::pipeline::{Component, ReplyNet, ReplyNetCtx};
 
-    fn stage(threads: usize) -> (MemoryStage, Arc<AddressMapper>) {
-        stage_with(&SystemConfig::default(), threads)
+    fn stage_with(cfg: &SystemConfig) -> MemoryStage {
+        MemoryStage::new(cfg, PolicyKind::FrFcfs)
     }
 
-    fn stage_with(cfg: &SystemConfig, threads: usize) -> (MemoryStage, Arc<AddressMapper>) {
-        let mapper = Arc::new(AddressMapper::new(
-            &cfg.addr_map,
-            &cfg.dram,
-            cfg.dram_word_bytes(),
-        ));
-        let mut m = MemoryStage::new(cfg, PolicyKind::FrFcfs, Arc::clone(&mapper));
-        m.set_threads(threads);
-        (m, mapper)
-    }
-
-    fn channel_of(mapper: &AddressMapper, addr: u64) -> usize {
-        mapper.decode(pimsim_types::PhysAddr(addr)).channel as usize
+    fn channel_of(m: &MemoryStage, addr: u64) -> usize {
+        m.mapper().decode(pimsim_types::PhysAddr(addr)).channel as usize
     }
 
     fn pim_load(id: u64, channel: usize) -> Request {
@@ -673,114 +541,66 @@ mod tests {
         )
     }
 
-    /// Pushes one read into every channel, steps to quiescence, and
-    /// returns per-channel (fills_sent, reply lengths) plus merged stats.
-    fn drive(threads: usize) -> Vec<(u64, usize, u64)> {
-        let (mut m, mapper) = stage(threads);
-        let channels = m.channel_count();
-        let spacing = 0x100u64; // one distinct line per channel via mapper
-        let mut pushed = 0usize;
-        let mut addr = 0u64;
-        while pushed < channels * 2 {
-            let c = mapper.decode(pimsim_types::PhysAddr(addr)).channel as usize;
-            if m.get(c).ingress().lane(0).can_accept() {
-                assert!(m.partition_mut(c).try_accept(0, mem_read(addr, addr)));
-                pushed += 1;
-            }
-            addr += spacing;
-        }
-        for now in 0..400u64 {
-            // 1:1 clock coupling is fine for a unit test.
-            m.step_cycle_all(now, now, 1, &mapper);
-            // Drain replies so REPLY_OUT_CAP never back-pressures.
-            for c in 0..channels {
-                if !m.get(c).reply().is_empty() {
-                    while m.partition_mut(c).reply_mut().recv().is_some() {}
-                }
-            }
-        }
-        (0..channels)
-            .map(|c| {
-                let p = m.get(c);
-                (
-                    p.stats().fills_sent,
-                    p.reply().len(),
-                    p.mc.stats().mem_served,
-                )
-            })
-            .collect()
-    }
-
-    #[test]
-    fn parallel_stepping_matches_serial_bit_for_bit() {
-        let serial = drive(1);
-        for threads in [2, 8] {
-            assert_eq!(drive(threads), serial, "threads={threads}");
-        }
-    }
-
     #[test]
     fn active_set_drops_drained_partitions_and_readmits_on_work() {
-        for threads in [1, 4] {
-            let cfg = SystemConfig::default();
-            let (mut m, mapper) = stage_with(&cfg, threads);
-            let mut net = ReplyNet::new(&cfg);
-            let mut delivered = Vec::new();
-            assert_eq!(
-                m.active(),
-                ActiveSet::default(),
-                "a fresh stage holds no work"
-            );
-            assert_eq!(m.next_activity_cycle(0), None);
+        let cfg = SystemConfig::default();
+        let mut m = stage_with(&cfg);
+        let mut net = ReplyNet::new(&cfg);
+        let mut delivered = Vec::new();
+        assert_eq!(
+            m.active(),
+            ActiveSet::default(),
+            "a fresh stage holds no work"
+        );
+        assert_eq!(m.next_activity_cycle(0), None);
 
-            // `partition_mut` admits exactly the partition it hands out...
-            let c = channel_of(&mapper, 0);
-            assert!(m.partition_mut(c).try_accept(0, mem_read(1, 0)));
-            assert_eq!(m.active().iter().collect::<Vec<_>>(), [c]);
-            assert_eq!(m.next_activity_cycle(7), Some(7));
-            // ...and the visit that finds it drained removes it again.
-            let mut now = 0;
-            while m.active().contains(c) {
-                assert!(now < 400, "the read never drained (threads={threads})");
-                m.step_cycle_all(now, now, 1, &mapper);
-                let ctx = ReplyNetCtx {
-                    memory: &mut m,
-                    delivered: &mut delivered,
-                };
-                net.step(now, ctx);
-                now += 1;
-            }
-            assert_eq!(delivered.len(), 1, "threads={threads}");
-            assert_eq!(m.active(), ActiveSet::default(), "threads={threads}");
-            assert_eq!(m.next_activity_cycle(now), None);
-
-            // An eject through `partition_mut` admits an idle partition
-            // without replaying the visits deferred while it was idle...
-            let d = (c + 1) % m.channel_count();
-            for _ in 0..3 {
-                assert!(m.can_defer_through(now + 1), "an empty stage defers");
-                m.defer_cycle(now, now, 1);
-                now += 1;
-            }
-            let replays = m.replay_counters();
-            assert!(m.partition_mut(d).try_accept(0, pim_load(2, d)));
-            assert_eq!(m.active().iter().collect::<Vec<_>>(), [d]);
-            assert_eq!(
-                m.replay_counters(),
-                replays,
-                "an idle partition owes no replay"
-            );
-            // ...and the partition leaves once its ack is drained.
-            let mut acks = Vec::new();
-            while m.active().contains(d) {
-                assert!(now < 800, "the PIM op never drained (threads={threads})");
-                m.step_cycle_all(now, now, 1, &mapper);
-                m.drain_acks_into(now, &mut acks);
-                now += 1;
-            }
-            assert_eq!(acks.len(), 1, "threads={threads}");
-            assert_eq!(m.active(), ActiveSet::default(), "threads={threads}");
+        // `partition_mut` admits exactly the partition it hands out...
+        let c = channel_of(&m, 0);
+        assert!(m.partition_mut(c).try_accept(0, mem_read(1, 0)));
+        assert_eq!(m.active().iter().collect::<Vec<_>>(), [c]);
+        assert_eq!(m.next_activity_cycle(7), Some(7));
+        // ...and the visit that finds it drained removes it again.
+        let mut now = 0;
+        while m.active().contains(c) {
+            assert!(now < 400, "the read never drained");
+            m.step_cycle_all(now, now, 1);
+            let ctx = ReplyNetCtx {
+                memory: &mut m,
+                delivered: &mut delivered,
+            };
+            net.step(now, ctx);
+            now += 1;
         }
+        assert_eq!(delivered.len(), 1);
+        assert_eq!(m.active(), ActiveSet::default());
+        assert_eq!(m.next_activity_cycle(now), None);
+
+        // An eject through `partition_mut` admits an idle partition
+        // without replaying the visits deferred while it was idle...
+        let d = (c + 1) % m.channel_count();
+        for _ in 0..3 {
+            assert!(m.can_defer_through(now + 1), "an empty stage defers");
+            m.defer_cycle(now, now, 1);
+            now += 1;
+        }
+        let replays = m.replay_counters();
+        assert!(m.partition_mut(d).try_accept(0, pim_load(2, d)));
+        assert_eq!(m.active().iter().collect::<Vec<_>>(), [d]);
+        assert_eq!(
+            m.replay_counters(),
+            replays,
+            "an idle partition owes no replay"
+        );
+        // ...and the partition leaves once its ack is drained.
+        let mut acks = Vec::new();
+        while m.active().contains(d) {
+            assert!(now < 800, "the PIM op never drained");
+            m.step_cycle_all(now, now, 1);
+            m.drain_acks_into(now, &mut acks);
+            now += 1;
+        }
+        assert_eq!(acks.len(), 1);
+        assert_eq!(m.active(), ActiveSet::default());
     }
 
     #[test]
@@ -791,47 +611,44 @@ mod tests {
         // leaves each lagging by a different amount; the history must
         // shrink to the largest remaining lag instead of waiting for
         // every partition to be current at once.
-        for threads in [1, 4] {
-            let (mut m, mapper) = stage(threads);
-            for c in 0..m.channel_count() {
-                m.partition_mut(c).mc.set_ack_batching(true);
-            }
-            // One visit drops the (idle) partitions the loop above
-            // admitted.
-            m.step_cycle_all(0, 0, 1, &mapper);
-            assert_eq!(m.active(), ActiveSet::default());
-            let chans = [3, 5, 9];
-            for c in chans {
-                assert!(m.partition_mut(c).try_accept(0, pim_load(c as u64, c)));
-            }
-            // Twelve deferred visits; channel 3 is caught up after visit
-            // 4, channel 5 after visit 9 and channel 9 after visit 12,
-            // leaving them 8, 3 and 0 visits behind.
-            for now in 1..=12u64 {
-                assert!(m.can_defer_through(now + 1), "pure-PIM work defers");
-                m.defer_cycle(now, now, 1);
-                let caught_up = match now {
-                    4 => Some(3),
-                    9 => Some(5),
-                    12 => Some(9),
-                    _ => None,
-                };
-                if let Some(c) = caught_up {
-                    m.partition_mut(c);
-                }
-            }
-            // A drain too early to owe any ack pulls nothing and keeps
-            // every partition active, but compacts the history down to
-            // the largest lag.
-            let mut acks = Vec::new();
-            m.drain_acks_into(1, &mut acks);
-            assert!(acks.is_empty());
-            assert_eq!(m.active().iter().collect::<Vec<_>>(), chans);
-            assert_eq!(m.deferred.len(), 8, "threads={threads}");
-            // Catching everyone up empties it.
-            m.catch_up_to(13);
-            assert!(m.deferred.is_empty(), "threads={threads}");
+        let mut m = stage_with(&SystemConfig::default());
+        for c in 0..m.channel_count() {
+            m.partition_mut(c).mc.set_ack_batching(true);
         }
+        // One visit drops the (idle) partitions the loop above admitted.
+        m.step_cycle_all(0, 0, 1);
+        assert_eq!(m.active(), ActiveSet::default());
+        let chans = [3, 5, 9];
+        for c in chans {
+            assert!(m.partition_mut(c).try_accept(0, pim_load(c as u64, c)));
+        }
+        // Twelve deferred visits; channel 3 is caught up after visit 4,
+        // channel 5 after visit 9 and channel 9 after visit 12, leaving
+        // them 8, 3 and 0 visits behind.
+        for now in 1..=12u64 {
+            assert!(m.can_defer_through(now + 1), "pure-PIM work defers");
+            m.defer_cycle(now, now, 1);
+            let caught_up = match now {
+                4 => Some(3),
+                9 => Some(5),
+                12 => Some(9),
+                _ => None,
+            };
+            if let Some(c) = caught_up {
+                m.partition_mut(c);
+            }
+        }
+        // A drain too early to owe any ack pulls nothing and keeps every
+        // partition active, but compacts the history down to the largest
+        // lag.
+        let mut acks = Vec::new();
+        m.drain_acks_into(1, &mut acks);
+        assert!(acks.is_empty());
+        assert_eq!(m.active().iter().collect::<Vec<_>>(), chans);
+        assert_eq!(m.deferred.len(), 8);
+        // Catching everyone up empties it.
+        m.catch_up_to(13);
+        assert!(m.deferred.is_empty());
     }
 
     #[test]
@@ -842,71 +659,55 @@ mod tests {
         // only by stepping would go stale.
         let mut cfg = SystemConfig::default();
         cfg.noc.reply_queue_entries = 2;
-        for threads in [1, 4] {
-            let (mut m, mapper) = stage_with(&cfg, threads);
-            for c in 0..m.channel_count() {
-                m.partition_mut(c).mc.set_ack_batching(true);
+        let mut m = stage_with(&cfg);
+        for c in 0..m.channel_count() {
+            m.partition_mut(c).mc.set_ack_batching(true);
+        }
+        let mut net = ReplyNet::new(&cfg);
+        let mut delivered = Vec::new();
+        let wires = |m: &MemoryStage| m.iter().any(|p| !p.reply().is_empty());
+        assert!(!m.replies_pending, "fresh stage has no replies");
+        // Eight reads of one line: one fill releases eight waiters.
+        let c = channel_of(&m, 0);
+        for id in 0..8 {
+            assert!(m.partition_mut(c).try_accept(0, mem_read(id, 0)));
+        }
+        let (mut saw_pending, mut deferred_pending) = (false, false);
+        for now in 0..400u64 {
+            let deferred = m.can_defer_through(now + 1);
+            if deferred {
+                m.defer_cycle(now, now, 1);
+            } else {
+                m.step_cycle_all(now, now, 1);
             }
-            let mut net = ReplyNet::new(&cfg);
-            let mut delivered = Vec::new();
-            let wires = |m: &MemoryStage| m.iter().any(|p| !p.reply().is_empty());
-            assert!(!m.replies_pending, "fresh stage has no replies");
-            // Eight reads of one line: one fill releases eight waiters.
-            let c = channel_of(&mapper, 0);
-            for id in 0..8 {
-                assert!(m.partition_mut(c).try_accept(0, mem_read(id, 0)));
-            }
-            let (mut saw_pending, mut deferred_pending) = (false, false);
-            for now in 0..400u64 {
-                let deferred = m.can_defer_through(now + 1);
-                if deferred {
-                    m.defer_cycle(now, now, 1);
-                } else {
-                    m.step_cycle_all(now, now, 1, &mapper);
-                }
+            assert_eq!(
+                m.replies_pending,
+                wires(&m),
+                "flag must match wires after a memory visit \
+                 (now={now}, deferred={deferred})"
+            );
+            deferred_pending |= deferred && m.replies_pending;
+            saw_pending |= m.replies_pending;
+            if m.replies_pending() || net.has_traffic() {
+                let ctx = ReplyNetCtx {
+                    memory: &mut m,
+                    delivered: &mut delivered,
+                };
+                net.step(now, ctx);
                 assert_eq!(
                     m.replies_pending,
                     wires(&m),
-                    "flag must match wires after a memory visit \
-                     (threads={threads}, now={now}, deferred={deferred})"
+                    "flag must match wires after a reply-net drain (now={now})"
                 );
-                deferred_pending |= deferred && m.replies_pending;
-                saw_pending |= m.replies_pending;
-                if m.replies_pending() || net.has_traffic() {
-                    let ctx = ReplyNetCtx {
-                        memory: &mut m,
-                        delivered: &mut delivered,
-                    };
-                    net.step(now, ctx);
-                    assert_eq!(
-                        m.replies_pending,
-                        wires(&m),
-                        "flag must match wires after a reply-net drain \
-                         (threads={threads}, now={now})"
-                    );
-                }
             }
-            m.catch_up_to(400);
-            assert!(saw_pending, "the reads must have produced replies");
-            assert!(
-                deferred_pending,
-                "some visit must have been deferred with replies waiting"
-            );
-            assert_eq!(delivered.len(), 8, "threads={threads}");
-            assert!(!m.replies_pending);
         }
-    }
-
-    #[test]
-    fn set_threads_clamps_and_reports() {
-        let (mut m, _) = stage(1);
-        assert_eq!(m.threads(), 1);
-        m.set_threads(0);
-        assert_eq!(m.threads(), 1);
-        m.set_threads(4);
-        assert_eq!(m.threads(), 4);
-        let over = m.channel_count() + 10;
-        m.set_threads(over);
-        assert_eq!(m.threads(), m.channel_count());
+        m.catch_up_to(400);
+        assert!(saw_pending, "the reads must have produced replies");
+        assert!(
+            deferred_pending,
+            "some visit must have been deferred with replies waiting"
+        );
+        assert_eq!(delivered.len(), 8);
+        assert!(!m.replies_pending);
     }
 }

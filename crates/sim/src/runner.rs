@@ -40,11 +40,6 @@ pub struct Runner {
     /// it off is only useful for the eager-oracle equivalence tests and
     /// per-tick production baselines.
     pub ack_batching: bool,
-    /// Shard width for the per-cycle memory stage (`None` keeps the
-    /// simulator's default: `PIMSIM_THREADS` if set, else serial).
-    /// Results are bit-identical at every width; see
-    /// [`Simulator::set_memory_threads`].
-    pub memory_threads: Option<usize>,
 }
 
 impl Runner {
@@ -58,7 +53,6 @@ impl Runner {
             fast_forward: true,
             event_delivery: true,
             ack_batching: true,
-            memory_threads: None,
         }
     }
 
@@ -82,9 +76,6 @@ impl Runner {
         sim.set_fast_forward(self.fast_forward);
         sim.set_event_delivery(self.event_delivery);
         sim.set_ack_batching(self.ack_batching);
-        if let Some(threads) = self.memory_threads {
-            sim.set_memory_threads(threads);
-        }
         sim
     }
 }

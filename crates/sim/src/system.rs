@@ -12,10 +12,8 @@
 //! nothing but the clocks, and the clock coupling uses exact integer
 //! arithmetic ([`SystemConfig::dram_clock_ratio`]).
 
-use std::sync::Arc;
 use std::time::Instant;
 
-use pimsim_dram::AddressMapper;
 use pimsim_gpu::KernelModel;
 use pimsim_types::{Cycle, SystemConfig};
 
@@ -107,8 +105,6 @@ pub(crate) struct StageTicks {
 /// ```
 pub struct Simulator {
     pub(crate) cfg: SystemConfig,
-    /// Shared (immutable) so parallel partition jobs can hold it.
-    mapper: Arc<AddressMapper>,
     issue: IssueStage,
     request_net: RequestNet,
     pub(crate) memory: MemoryStage,
@@ -144,15 +140,11 @@ impl Simulator {
     /// Panics if `cfg` fails validation.
     pub fn new(cfg: SystemConfig, policy: pimsim_core::PolicyKind) -> Self {
         cfg.validate().expect("invalid system configuration");
-        // Decoder construction goes through the backend registry: the
-        // pipeline stages service whatever substrate `cfg.dram_backend`
-        // names without matching on the kind themselves.
-        let mapper = Arc::new(pimsim_dram::backend::mapper_for(&cfg));
         let (clock_num, clock_den) = cfg.dram_clock_ratio();
         let mut sim = Simulator {
             issue: IssueStage::new(cfg.gpu.num_sms, cfg.gpu.max_outstanding_mem_per_sm),
             request_net: RequestNet::new(&cfg),
-            memory: MemoryStage::new(&cfg, policy, Arc::clone(&mapper)),
+            memory: MemoryStage::new(&cfg, policy),
             reply_net: ReplyNet::new(&cfg),
             completion: CompletionStage::new(),
             clock: ClockCoupler::new(clock_num, clock_den),
@@ -164,7 +156,6 @@ impl Simulator {
             skipped_cycles: 0,
             stage_ticks: StageTicks::default(),
             profile: None,
-            mapper,
             cfg,
         };
         // Raw controllers default to eager production (they have no
@@ -328,13 +319,11 @@ impl Simulator {
         self.memory.get(c)
     }
 
-    /// Sets how many threads step the memory partitions each cycle
-    /// (1 = serial, the default unless `PIMSIM_THREADS` is set). Results
-    /// are bit-identical at every width; see
-    /// [`crate::pipeline::MemoryStage::set_threads`].
-    pub fn set_memory_threads(&mut self, threads: usize) {
-        self.memory.set_threads(threads);
-    }
+    /// Does nothing: every simulation steps its memory partitions on
+    /// its own thread, and parallelism runs across simulations
+    /// ([`crate::experiments::sweep::parallel_map`]). Kept so existing
+    /// callers still build.
+    pub fn set_memory_threads(&mut self, _threads: usize) {}
 
     /// GPU cycles elapsed.
     pub fn gpu_cycles(&self) -> u64 {
@@ -382,7 +371,7 @@ impl Simulator {
                 kernels: &mut self.kernels,
                 net: &mut self.request_net,
                 inflight: self.completion.inflight_mut(),
-                mapper: self.mapper.as_ref(),
+                mapper: self.memory.mapper(),
             },
         );
         self.stage_ticks.issue += 1;
@@ -398,8 +387,7 @@ impl Simulator {
 
         // 3+4. The memory stage's whole cycle: L2 front halves (GPU
         // clock) plus every pending DRAM tick (exact integer rational
-        // coupling) — one serial pass at width 1, one sharded pool batch
-        // otherwise.
+        // coupling), in one pass over the active partitions.
         self.clock.accrue_gpu_cycle();
         let (first_dram, dram_ticks) = self.clock.take_dram_span();
         // Retire-time batching: when every partition reports a bulk
@@ -427,8 +415,7 @@ impl Simulator {
         if deferrable {
             self.memory.defer_cycle(now, first_dram, dram_ticks);
         } else {
-            self.memory
-                .step_cycle_all(now, first_dram, dram_ticks, &self.mapper);
+            self.memory.step_cycle_all(now, first_dram, dram_ticks);
             self.stage_ticks.memory += 1;
         }
         Self::lap(&mut mark, &mut prof, |p| &mut p.memory_ns);
@@ -599,7 +586,7 @@ impl Simulator {
         self.clock.jump_to(target);
         if mem_horizon.is_some() {
             let ticks = self.clock.dram_now() - dram_now;
-            self.memory.quiet_replay_all(dram_now, ticks, &self.mapper);
+            self.memory.quiet_replay_all(dram_now, ticks);
         }
         true
     }

@@ -12,6 +12,8 @@
 
 use pimsim_gpu::{GpuKernelParams, PimKernelModel, PimKernelSpec, PimPhase, SyntheticGpuKernel};
 
+use crate::valid_scale;
+
 /// The two halves of the FFT scenario.
 #[derive(Debug, Clone)]
 pub struct FftScenario {
@@ -26,7 +28,7 @@ pub struct FftScenario {
 /// Transposes stride across rows (poor row locality, modest L2 reuse from
 /// tile buffering) — the opposite profile of the LLM's GEMMs.
 pub fn transpose_params(scale: f64) -> GpuKernelParams {
-    assert!(scale > 0.0, "scale must be positive");
+    assert!(valid_scale(scale), "scale must be finite and positive");
     GpuKernelParams {
         name: "FFT-transpose".into(),
         total_requests: ((60_000_f64) * scale).max(1.0) as u64,
@@ -43,7 +45,7 @@ pub fn transpose_params(scale: f64) -> GpuKernelParams {
 /// PIM-side butterfly spec: long same-row blocks of load/compute/store
 /// (in-place butterflies over row-resident data), several passes.
 pub fn butterfly_spec(channels: usize, scale: f64) -> PimKernelSpec {
-    assert!(scale > 0.0, "scale must be positive");
+    assert!(valid_scale(scale), "scale must be finite and positive");
     use PimPhase::{Compute, Load, Store};
     PimKernelSpec {
         name: "FFT-butterflies".into(),

@@ -24,3 +24,10 @@ pub use fft::{fft_scenario, FftScenario};
 pub use llm::{llm_scenario, LlmScenario};
 pub use pim_suite::{pim_kernel, pim_suite, stream_triad_spec, PimBenchmark};
 pub use rodinia::{gpu_kernel, rodinia_suite, GpuBenchmark};
+
+/// Whether `scale` is a usable workload scale: finite and positive.
+/// Every kernel builder asserts it, and the front ends check it before
+/// building anything.
+pub fn valid_scale(scale: f64) -> bool {
+    scale.is_finite() && scale > 0.0
+}

@@ -14,6 +14,8 @@
 use pimsim_gpu::PimKernelModel;
 use pimsim_gpu::{GpuKernelParams, PimKernelSpec, PimPhase, SyntheticGpuKernel};
 
+use crate::valid_scale;
+
 /// The two halves of the collaborative scenario.
 #[derive(Debug, Clone)]
 pub struct LlmScenario {
@@ -30,7 +32,7 @@ pub struct LlmScenario {
 /// sequential runs (row-major tile loads), moderate per-SM pacing (the
 /// math pipeline is busy between loads).
 pub fn qkv_params(scale: f64) -> GpuKernelParams {
-    assert!(scale > 0.0, "scale must be positive");
+    assert!(valid_scale(scale), "scale must be finite and positive");
     GpuKernelParams {
         name: "QKV-GEMM".into(),
         // Three GEMMs' worth of traffic; tuned so QKV alone runs longer
@@ -54,7 +56,7 @@ pub fn qkv_params(scale: f64) -> GpuKernelParams {
 /// QKV, but a much higher injection rate (every op is a PIM store, nothing
 /// is cached).
 pub fn mha_spec(channels: usize, scale: f64) -> PimKernelSpec {
-    assert!(scale > 0.0, "scale must be positive");
+    assert!(valid_scale(scale), "scale must be finite and positive");
     use PimPhase::{Compute, Load, Store};
     PimKernelSpec {
         name: "MHA-GEMV".into(),

@@ -9,6 +9,8 @@
 use pimsim_gpu::{PimKernelModel, PimKernelSpec, PimPhase};
 use serde::{Deserialize, Serialize};
 
+use crate::valid_scale;
+
 /// Identifier of a PIM benchmark (P1..P9 in Table III).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct PimBenchmark(pub u8);
@@ -52,9 +54,9 @@ impl std::fmt::Display for PimBenchmark {
 ///
 /// # Panics
 ///
-/// Panics if `bench` is outside `P1..P9` or `scale` is not positive.
+/// Panics if `bench` is outside `P1..P9` or `scale` is not finite and positive.
 pub fn pim_kernel_spec(bench: PimBenchmark, channels: usize, scale: f64) -> PimKernelSpec {
-    assert!(scale > 0.0, "scale must be positive");
+    assert!(valid_scale(scale), "scale must be finite and positive");
     use PimPhase::{Compute, Load, Store};
     // (pattern, ops_per_block, base blocks/channel)
     // Block lengths reflect each kernel's data layout: vectors are laid
@@ -119,7 +121,7 @@ pub fn pim_kernel(
 /// rationale is checkable: its block structure matches P1's with one
 /// extra compute phase.
 pub fn stream_triad_spec(channels: usize, scale: f64) -> PimKernelSpec {
-    assert!(scale > 0.0, "scale must be positive");
+    assert!(valid_scale(scale), "scale must be finite and positive");
     use PimPhase::{Compute, Load, Store};
     PimKernelSpec {
         name: "Stream Triad".to_owned(),

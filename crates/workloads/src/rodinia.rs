@@ -16,6 +16,8 @@
 use pimsim_gpu::{GpuKernelParams, SyntheticGpuKernel};
 use serde::{Deserialize, Serialize};
 
+use crate::valid_scale;
+
 /// Identifier of a Rodinia benchmark (G1..G20 in the paper's tables).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct GpuBenchmark(pub u8);
@@ -70,9 +72,9 @@ impl std::fmt::Display for GpuBenchmark {
 ///
 /// # Panics
 ///
-/// Panics if `bench` is outside `G1..G20` or `scale` is not positive.
+/// Panics if `bench` is outside `G1..G20` or `scale` is not finite and positive.
 pub fn gpu_kernel_params(bench: GpuBenchmark, scale: f64) -> GpuKernelParams {
-    assert!(scale > 0.0, "scale must be positive");
+    assert!(valid_scale(scale), "scale must be finite and positive");
     // (requests, interval, read_frac, footprint MiB, row_loc, l2_reuse, streams)
     // Issue intervals fold in the L1 cache's filtering and the kernels'
     // instruction mix (we model neither explicitly): a GPU SM injects into

@@ -21,15 +21,12 @@ cargo build --examples --workspace
 cargo test -q --workspace
 cargo clippy --all-targets --workspace -- -D warnings
 
-# Determinism contract of the sharded memory stage (DESIGN.md §4f): the
-# golden fixtures and the serial-vs-parallel matrix must hold at both a
-# serial and a multi-threaded pool width. The golden_pipeline binary is
-# the per-backend golden pass: it checks the HBM matrix against
-# tests/fixtures/golden_pipeline.json (byte-identical across the
-# multi-backend refactor) AND the LP5X matrix against
-# tests/fixtures/golden_lp5x.json (DESIGN.md §4j).
-PIMSIM_THREADS=1 cargo test -q --release --test golden_pipeline --test parallel_equivalence
-PIMSIM_THREADS=4 cargo test -q --release --test golden_pipeline --test parallel_equivalence
+# Golden pass, per backend, in release (the debug run above skips the
+# full matrices): the HBM matrix must match
+# tests/fixtures/golden_pipeline.json and the LP5X matrix
+# tests/fixtures/golden_lp5x.json byte for byte (DESIGN.md §4j). Each
+# simulation runs on one thread, so one pass covers every sweep width.
+cargo test -q --release --test golden_pipeline
 
 # Backend-registry smoke (DESIGN.md §4j): both registries must round-trip
 # names and agree on the error dialect, every registered backend must be
