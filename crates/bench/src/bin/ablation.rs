@@ -8,8 +8,9 @@
 //! every switch, the binary runs `PAIRS` in-process pairs of the default
 //! configuration against the same configuration with that one switch
 //! flipped, alternating which of the two runs first. Every pair first
-//! asserts both runs simulated the same number of cycles — the runs are
-//! bit-identical, so only wall time may differ. Per switch it records the
+//! asserts both runs simulated the same number of cycles and produced
+//! equal merged controller stats — the runs are bit-identical, so only
+//! wall time may differ. Per switch it records the
 //! median over pairs of `switched / default` wall time (above 1 means the
 //! fast path pays) and how many pairs the default won. Pairing inside
 //! one process exposes both runs to the same host load, which resolves
@@ -19,6 +20,7 @@
 use std::time::Instant;
 
 use pimsim_bench::{header, hotloop_runner, run_hotloop_scenario, HOTLOOP_SCENARIOS};
+use pimsim_core::McStats;
 use pimsim_sim::Runner;
 
 /// Interleaved pairs per scenario and switch.
@@ -29,18 +31,18 @@ const PAIRS: usize = 30;
 type Switch = fn(&mut Runner);
 
 /// Runs scenario `name` once under `switch`; returns the simulated
-/// cycles.
-fn run(name: &str, switch: Switch) -> u64 {
+/// cycles and the merged controller stats.
+fn run(name: &str, switch: Switch) -> (u64, McStats) {
     let mut r = hotloop_runner(name);
     switch(&mut r);
     run_hotloop_scenario(name, &r)
 }
 
-/// One timed run: `(simulated cycles, wall seconds)`.
-fn timed(name: &str, switch: Switch) -> (u64, f64) {
+/// One timed run: `(simulated cycles, controller stats, wall seconds)`.
+fn timed(name: &str, switch: Switch) -> (u64, McStats, f64) {
     let t = Instant::now();
-    let cycles = run(name, switch);
-    (cycles, t.elapsed().as_secs_f64())
+    let (cycles, mc) = run(name, switch);
+    (cycles, mc, t.elapsed().as_secs_f64())
 }
 
 fn median(xs: &[f64]) -> f64 {
@@ -84,10 +86,14 @@ fn main() {
                     base.0, flipped.0,
                     "{name}: {label} changed the simulated cycle count"
                 );
+                assert!(
+                    base.1 == flipped.1,
+                    "{name}: {label} changed the merged controller stats"
+                );
                 cycles = base.0;
-                ratios.push(flipped.1 / base.1);
-                base_s.push(base.1);
-                switched_s.push(flipped.1);
+                ratios.push(flipped.2 / base.2);
+                base_s.push(base.2);
+                switched_s.push(flipped.2);
             }
             let ratio = median(&ratios);
             let wins = ratios.iter().filter(|&&r| r > 1.0).count();

@@ -64,7 +64,7 @@ fn env_u64(name: &str, default: u64) -> u64 {
 fn run(name: &str, fast_forward: bool) -> u64 {
     let mut r = hotloop_runner(name);
     r.fast_forward = fast_forward;
-    run_hotloop_scenario(name, &r)
+    run_hotloop_scenario(name, &r).0
 }
 
 /// One profiled pass of a scenario: the same workload as the timed

@@ -18,6 +18,7 @@
 #![warn(missing_docs)]
 
 use pimsim_core::policy::PolicyKind;
+use pimsim_core::McStats;
 use pimsim_sim::{KernelModel, Runner};
 use pimsim_types::{DramBackendKind, SystemConfig};
 use pimsim_workloads::{gpu_kernel, pim_kernel, pim_suite::PimBenchmark, rodinia::GpuBenchmark};
@@ -245,23 +246,22 @@ pub fn hotloop_runner(name: &str) -> Runner {
 
 /// Runs scenario `name` once on `runner`; returns the simulated GPU
 /// cycles (the kernel's first run when standalone, the whole run for
-/// co-execution).
+/// co-execution) and the merged controller stats.
 ///
 /// # Panics
 ///
 /// Panics if a standalone scenario exceeds the runner's budget.
-pub fn run_hotloop_scenario(name: &str, runner: &Runner) -> u64 {
+pub fn run_hotloop_scenario(name: &str, runner: &Runner) -> (u64, McStats) {
     let mut kernels = hotloop_kernels(name);
     if kernels.len() == 1 {
         let (kernel, is_pim) = kernels.pop().expect("one kernel");
-        return runner
-            .standalone(kernel, 0, is_pim)
-            .expect("finishes")
-            .cycles;
+        let out = runner.standalone(kernel, 0, is_pim).expect("finishes");
+        return (out.cycles, out.mc);
     }
     let (gpu, _) = kernels.pop().expect("GPU kernel mounts last");
     let (pim, is_pim) = kernels.pop().expect("PIM kernel mounts first");
-    runner.coexec(gpu, pim, is_pim).total_cycles
+    let out = runner.coexec(gpu, pim, is_pim);
+    (out.total_cycles, out.mc)
 }
 
 #[cfg(test)]

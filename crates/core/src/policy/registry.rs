@@ -238,15 +238,31 @@ pub fn canonical_name(kind: PolicyKind) -> &'static str {
     name
 }
 
+fn out_of_range(name: &str, key: &str, value: u64) -> PolicyParseError {
+    PolicyParseError(format!("{name}: value {value} out of range for '{key}'"))
+}
+
 fn narrow<T: TryFrom<u64>>(name: &str, key: &str, value: u64) -> Result<T, PolicyParseError> {
-    T::try_from(value)
-        .map_err(|_| PolicyParseError(format!("{name}: value {value} out of range for '{key}'")))
+    T::try_from(value).map_err(|_| out_of_range(name, key, value))
+}
+
+/// [`narrow`] for parameters that must be nonzero: bypass and batch
+/// caps, and G&I's high watermark (the low one must sit below it).
+fn nonzero<T: TryFrom<u64>>(name: &str, key: &str, value: u64) -> Result<T, PolicyParseError> {
+    if value == 0 {
+        return Err(out_of_range(name, key, value));
+    }
+    narrow(name, key, value)
 }
 
 /// Returns `kind` with the tunable parameter `key` set to `value`.
 ///
-/// Fails if the policy has no such parameter or the value does not fit the
-/// parameter's type.
+/// Fails if the policy has no such parameter or the value is outside the
+/// parameter's own domain: a zero cap or high watermark, an SJF
+/// probability above 100 percent, or a value that does not fit the
+/// parameter's type. Constraints between parameters (G&I's `low < high`)
+/// are checked once all of a spec's pairs are applied, by
+/// [`parse_spec`].
 pub fn apply_param(
     kind: PolicyKind,
     key: &str,
@@ -278,7 +294,7 @@ pub fn apply_param(
             clear_interval: value,
         }),
         (PolicyKind::GatherIssue { low, .. }, "high") => Ok(PolicyKind::GatherIssue {
-            high: narrow(name, key, value)?,
+            high: nonzero(name, key, value)?,
             low,
         }),
         (PolicyKind::GatherIssue { high, .. }, "low") => Ok(PolicyKind::GatherIssue {
@@ -286,31 +302,36 @@ pub fn apply_param(
             low: narrow(name, key, value)?,
         }),
         (PolicyKind::Sms { sjf_percent, .. }, "batch-cap") => Ok(PolicyKind::Sms {
-            batch_cap: narrow(name, key, value)?,
+            batch_cap: nonzero(name, key, value)?,
             sjf_percent,
         }),
-        (PolicyKind::Sms { batch_cap, .. }, "sjf-percent") => Ok(PolicyKind::Sms {
-            batch_cap,
-            sjf_percent: narrow(name, key, value)?,
-        }),
+        (PolicyKind::Sms { batch_cap, .. }, "sjf-percent") => {
+            if value > 100 {
+                return Err(out_of_range(name, key, value));
+            }
+            Ok(PolicyKind::Sms {
+                batch_cap,
+                sjf_percent: narrow(name, key, value)?,
+            })
+        }
         (PolicyKind::F3fs { pim_cap, .. }, "mem-cap") => Ok(PolicyKind::F3fs {
-            mem_cap: narrow(name, key, value)?,
+            mem_cap: nonzero(name, key, value)?,
             pim_cap,
         }),
         (PolicyKind::F3fs { mem_cap, .. }, "pim-cap") => Ok(PolicyKind::F3fs {
             mem_cap,
-            pim_cap: narrow(name, key, value)?,
+            pim_cap: nonzero(name, key, value)?,
         }),
         (PolicyKind::F3fsNoModeFirst { pim_cap, .. }, "mem-cap") => {
             Ok(PolicyKind::F3fsNoModeFirst {
-                mem_cap: narrow(name, key, value)?,
+                mem_cap: nonzero(name, key, value)?,
                 pim_cap,
             })
         }
         (PolicyKind::F3fsNoModeFirst { mem_cap, .. }, "pim-cap") => {
             Ok(PolicyKind::F3fsNoModeFirst {
                 mem_cap,
-                pim_cap: narrow(name, key, value)?,
+                pim_cap: nonzero(name, key, value)?,
             })
         }
         _ => Err(unknown()),
@@ -321,6 +342,10 @@ pub fn apply_param(
 /// `:key=value` pairs separated by commas.
 ///
 /// `"fr-fcfs"`, `"f3fs:mem-cap=64,pim-cap=16"`, `"bliss:threshold=8"`.
+/// Every kind it returns builds without panicking: each value is checked
+/// by [`apply_param`], and G&I's `low < high` once all pairs are applied
+/// (so `"gi:high=30,low=20"` is legal although `low` still sits at its
+/// default 32 after the first pair).
 pub fn parse_spec(spec: &str) -> Result<PolicyKind, PolicyParseError> {
     let (name, params) = match spec.split_once(':') {
         Some((n, p)) => (n.trim(), Some(p)),
@@ -352,6 +377,14 @@ pub fn parse_spec(spec: &str) -> Result<PolicyKind, PolicyParseError> {
                 ))
             })?;
             kind = apply_param(kind, key.trim(), value)?;
+        }
+    }
+    if let PolicyKind::GatherIssue { high, low } = kind {
+        if low >= high {
+            return Err(PolicyParseError(format!(
+                "{}: value {low} out of range for 'low' (must be below 'high' = {high})",
+                desc.name
+            )));
         }
     }
     Ok(kind)

@@ -298,11 +298,15 @@ impl KernelModel for PimKernelModel {
         self.warps_at_cap = 0;
     }
 
-    fn next_activity_cycle(&self, now: Cycle) -> Option<Cycle> {
+    fn next_issue_cycle(&self, slot: usize, now: Cycle) -> Option<Cycle> {
         // PIM warps are throttled by store-buffer credits, not by time: a
         // warp with work left may become issuable the moment an ack
         // arrives, so the only safe answers are "now" and "never".
-        self.warps.iter().any(|w| !w.done_issuing).then_some(now)
+        let base = slot * self.warps_per_slot;
+        self.warps[base..base + self.warps_per_slot]
+            .iter()
+            .any(|w| !w.done_issuing)
+            .then_some(now)
     }
 
     fn wants_completions(&self, _now: Cycle) -> bool {
@@ -365,6 +369,16 @@ mod tests {
         assert_eq!(ch0[4].op, PimOpKind::RfCompute);
         assert_eq!(ch0[8].op, PimOpKind::RfStore);
         assert_eq!(ch0[12].op, PimOpKind::RfLoad);
+    }
+
+    #[test]
+    fn issue_bounds_are_lower_bounds() {
+        // A cap of 2 with slow acks keeps warps throttled most of the run.
+        let mut k = PimKernelModel::new(spec(), 2, 4, 2);
+        let issued = crate::kernel::tests::assert_issue_bounds_hold(&mut k, 2_000, 15);
+        assert_eq!(issued, k.total_requests());
+        assert!(k.is_done());
+        assert_eq!(k.next_issue_cycle(1, 2_000), None, "all work issued");
     }
 
     #[test]

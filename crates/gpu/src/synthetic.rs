@@ -276,14 +276,11 @@ impl KernelModel for SyntheticGpuKernel {
         self.init_slots(n);
     }
 
-    fn next_activity_cycle(&self, now: Cycle) -> Option<Cycle> {
+    fn next_issue_cycle(&self, slot: usize, now: Cycle) -> Option<Cycle> {
         // A slot with work left issues no earlier than its pacing stamp;
-        // slots that issued everything are silent until reset.
-        self.slots
-            .iter()
-            .filter(|s| s.remaining > 0)
-            .map(|s| s.next_ready.max(now))
-            .min()
+        // a slot that issued everything is silent until reset.
+        let s = &self.slots[slot];
+        (s.remaining > 0).then(|| s.next_ready.max(now))
     }
 }
 
@@ -322,6 +319,18 @@ mod tests {
         }
         assert_eq!(n, 64);
         assert!(k.is_done());
+    }
+
+    #[test]
+    fn issue_bounds_are_lower_bounds() {
+        let mut p = params();
+        p.issue_interval = 9; // jittered pacing
+        let total = p.total_requests;
+        let mut k = SyntheticGpuKernel::new(p, 4);
+        let issued = crate::kernel::tests::assert_issue_bounds_hold(&mut k, 2_000, 25);
+        assert_eq!(issued, total);
+        assert!(k.is_done());
+        assert_eq!(k.next_issue_cycle(0, 2_000), None, "all work issued");
     }
 
     #[test]

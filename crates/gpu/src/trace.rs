@@ -205,8 +205,8 @@ impl KernelModel for TraceRecorder {
         self.inner.reset();
     }
 
-    fn next_activity_cycle(&self, now: Cycle) -> Option<Cycle> {
-        self.inner.next_activity_cycle(now)
+    fn next_issue_cycle(&self, slot: usize, now: Cycle) -> Option<Cycle> {
+        self.inner.next_issue_cycle(slot, now)
     }
 }
 
@@ -301,14 +301,10 @@ impl KernelModel for TraceKernel {
         *self = TraceKernel::new(std::mem::take(&mut self.name), n, records);
     }
 
-    fn next_activity_cycle(&self, now: Cycle) -> Option<Cycle> {
-        // Each slot's next record fires at its recorded cycle, or
+    fn next_issue_cycle(&self, slot: usize, now: Cycle) -> Option<Cycle> {
+        // The slot's next record fires at its recorded cycle, or
         // immediately if the replay is already running behind.
-        self.slots
-            .iter()
-            .filter_map(|q| q.front())
-            .map(|r| r.cycle.max(now))
-            .min()
+        self.slots[slot].front().map(|r| r.cycle.max(now))
     }
 }
 
@@ -381,6 +377,23 @@ mod tests {
             k.on_complete(0, RequestId(0), 10);
         }
         assert!(k.is_done());
+    }
+
+    #[test]
+    fn issue_bounds_are_lower_bounds() {
+        let mut k = TraceKernel::new("t", 2, sample_records());
+        assert_eq!(k.next_issue_cycle(0, 1), Some(1), "slot 0 runs behind");
+        assert_eq!(k.next_issue_cycle(1, 0), Some(2));
+        let issued = crate::kernel::tests::assert_issue_bounds_hold(&mut k, 20, 3);
+        assert_eq!(issued, 3);
+        assert_eq!(k.next_issue_cycle(1, 20), None, "slot 1 replayed its trace");
+        // The recorder forwards the wrapped model's bounds.
+        let mut rec = TraceRecorder::new(Box::new(TraceKernel::new("t", 2, sample_records())));
+        assert_eq!(
+            crate::kernel::tests::assert_issue_bounds_hold(&mut rec, 20, 3),
+            3
+        );
+        assert_eq!(rec.next_issue_cycle(0, 20), None);
     }
 
     #[test]

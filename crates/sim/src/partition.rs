@@ -45,6 +45,31 @@ pub struct PartitionStats {
     pub writebacks_sent: u64,
 }
 
+/// When a partition — or, folded over partitions, the whole memory stage
+/// — next needs a live visit: one bound per clock domain, `None` where
+/// that domain has nothing pending. Until both bounds pass, stepping the
+/// partition changes nothing but its controller's stats integrals, which
+/// [`MemoryController::quiet_replay_span`] replays in bulk.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Horizon {
+    /// GPU cycle at which an L2 hit pipeline releases its next reply.
+    pub l2_release: Option<Cycle>,
+    /// DRAM cycle at which a controller next needs a live step
+    /// ([`MemoryController::next_activity_cycle`]).
+    pub dram: Option<Cycle>,
+}
+
+impl Horizon {
+    /// The earlier bound in each domain.
+    pub fn min(self, other: Horizon) -> Horizon {
+        let earlier = |a: Option<Cycle>, b: Option<Cycle>| a.into_iter().chain(b).min();
+        Horizon {
+            l2_release: earlier(self.l2_release, other.l2_release),
+            dram: earlier(self.dram, other.dram),
+        }
+    }
+}
+
 /// One memory partition.
 #[derive(Debug)]
 pub struct Partition {
@@ -359,14 +384,16 @@ impl Partition {
     }
 
     /// One DRAM-clock step: ingest from the L2→DRAM port, advance the MC,
-    /// and sort its completions.
-    pub fn step_dram(&mut self, dram_now: Cycle, mapper: &AddressMapper) {
+    /// and sort its completions. Returns `false`, having done nothing,
+    /// when there is nothing to ingest and the controller is idle — a
+    /// state only an arrival in the port ends.
+    pub fn step_dram(&mut self, dram_now: Cycle, mapper: &AddressMapper) -> bool {
         // Fast path: a fully idle controller with nothing to ingest can
         // skip the cycle entirely (common while a GPU-bound kernel
         // computes). Occupancy/BLP integrals skip these cycles too, which
         // only affects diagnostic averages.
         if self.to_dram.is_empty() && self.mc.is_idle(dram_now) {
-            return;
+            return false;
         }
         // Ingest up to two requests per DRAM cycle, round-robin over
         // lanes, so queue entry never outpaces what the DRAM can service.
@@ -413,6 +440,7 @@ impl Partition {
         }
         self.mc.step(dram_now);
         self.harvest_completions(dram_now);
+        true
     }
 
     /// Harvests the controller's retire-time ack batch into the
@@ -453,8 +481,12 @@ impl Partition {
             // construction — nothing to harvest.
             return;
         }
-        for t in 0..ticks {
-            self.step_dram(first + t, mapper);
+        for now in first..first + ticks {
+            if !self.step_dram(now, mapper) {
+                // Idle with nothing to ingest: every remaining tick would
+                // early-return too, since no arrival lands inside a span.
+                return;
+            }
         }
     }
 
@@ -571,36 +603,40 @@ impl Partition {
         }
     }
 
-    /// The earliest DRAM cycle at or after `dram_now` at which this
-    /// partition has work, or `None` while it holds none anywhere
-    /// (staging ports, L2 pipeline, controller, reply/ack wires). When
-    /// the controller is the only busy piece, its answer (which can be a
-    /// future cycle inside a stall window) passes through; otherwise an
-    /// active partition answers `dram_now`.
-    pub fn next_activity_cycle(&self, dram_now: Cycle) -> Option<Cycle> {
-        if self.ingress.is_empty()
-            && self.to_dram.is_empty()
-            && self.l2_delay.is_empty()
-            && self.pending_fills.is_empty()
-            && self.pending_writebacks.is_empty()
-            && self.reply.is_empty()
-            && self.acks.is_empty()
-        {
-            return self.mc.next_activity_cycle(dram_now);
+    /// Whether a port or wire holds work: anything buffered outside the
+    /// L2 hit pipeline and the controller.
+    fn buffers_hold_work(&self) -> bool {
+        !self.ingress.is_empty()
+            || !self.to_dram.is_empty()
+            || !self.pending_fills.is_empty()
+            || !self.pending_writebacks.is_empty()
+            || !self.reply.is_empty()
+            || !self.acks.is_empty()
+    }
+
+    /// When this partition next needs a live visit, at GPU cycle
+    /// `gpu_now` and DRAM cycle `dram_now`. A port or wire holding work
+    /// makes it due now in both domains. Otherwise the bounds are the
+    /// front of the L2 hit pipeline (a FIFO in ready order, since every
+    /// hit waits the same latency) and the controller's horizon; before
+    /// them, an L2 step finds nothing to do and a DRAM span is a quiet
+    /// replay (or nothing, while the controller is idle).
+    pub fn horizon(&self, gpu_now: Cycle, dram_now: Cycle) -> Horizon {
+        if self.buffers_hold_work() {
+            return Horizon {
+                l2_release: Some(gpu_now),
+                dram: Some(dram_now),
+            };
         }
-        Some(dram_now)
+        Horizon {
+            l2_release: self.l2_delay.front().map(|&(ready, _)| ready),
+            dram: self.mc.next_activity_cycle(dram_now),
+        }
     }
 
     /// Whether the partition holds no work at all.
     pub fn is_idle(&self, dram_now: Cycle) -> bool {
-        self.ingress.is_empty()
-            && self.to_dram.is_empty()
-            && self.l2_delay.is_empty()
-            && self.pending_fills.is_empty()
-            && self.pending_writebacks.is_empty()
-            && self.reply.is_empty()
-            && self.acks.is_empty()
-            && self.mc.is_idle(dram_now)
+        !self.buffers_hold_work() && self.l2_delay.is_empty() && self.mc.is_idle(dram_now)
     }
 }
 
@@ -618,8 +654,14 @@ impl Component for Partition {
         self.step_dram(now, mapper);
     }
 
+    /// The DRAM-domain horizon: the controller's, unless some buffer or
+    /// the L2 hit pipeline holds work (see [`Partition::horizon`] for
+    /// the per-domain bounds).
     fn next_activity_cycle(&self, now: Cycle) -> Option<Cycle> {
-        Partition::next_activity_cycle(self, now)
+        if self.buffers_hold_work() || !self.l2_delay.is_empty() {
+            return Some(now);
+        }
+        self.mc.next_activity_cycle(now)
     }
 }
 

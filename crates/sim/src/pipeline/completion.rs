@@ -108,10 +108,7 @@ impl InflightTable {
         Some((k as usize, s as usize))
     }
 
-    /// Number of live entries. O(1); the simulator uses this as the cheap
-    /// first gate of the idle-span check — any outstanding kernel request
-    /// means some component is busy, so the per-partition scan can be
-    /// skipped entirely.
+    /// Number of live entries: kernel requests in flight. O(1).
     pub fn len(&self) -> usize {
         self.len
     }
@@ -146,12 +143,8 @@ impl CompletionStage {
         Self::default()
     }
 
-    /// The inflight ticket table (the issue stage mints IDs from it).
-    pub fn inflight(&self) -> &InflightTable {
-        &self.inflight
-    }
-
-    /// Mutable access to the inflight ticket table.
+    /// Mutable access to the inflight ticket table (the issue stage mints
+    /// IDs from it).
     pub fn inflight_mut(&mut self) -> &mut InflightTable {
         &mut self.inflight
     }

@@ -20,7 +20,7 @@ use pimsim_core::PolicyKind;
 use pimsim_dram::AddressMapper;
 use pimsim_types::{Cycle, Request, SystemConfig};
 
-use crate::partition::Partition;
+use crate::partition::{Horizon, Partition};
 
 /// The channels whose partitions may hold work, as a bitset. 128 bits
 /// cover every legal channel index (the partitions' internal request-ID
@@ -350,14 +350,16 @@ impl MemoryStage {
     /// exactly as per-tick stepping would have.
     ///
     /// The fast-forward path calls this after jumping the clocks up to
-    /// (but never past) the horizon [`MemoryStage::next_activity_cycle`]
-    /// reported: every busy partition answered a horizon at or beyond the
-    /// stage minimum, which it only does with all of its buffers empty
-    /// and its controller inside a stall window covering the span — so
-    /// the per-partition replay is the O(1)
-    /// [`MemoryController::quiet_replay_span`] path
+    /// (but never past) the DRAM bound of `MemoryStage::horizon`: no
+    /// partition answered a horizon inside the span, which it only does
+    /// with its ports and wires empty and its controller idle or inside
+    /// a stall window covering the span — so the per-partition replay is
+    /// the O(1) [`pimsim_core::MemoryController::quiet_replay_span`]
+    /// path, or nothing for an idle controller
     /// ([`crate::partition::Partition::step_dram_span`] falls back to
-    /// exact per-tick stepping if it ever is not).
+    /// exact per-tick stepping where the controller goes idle
+    /// mid-span). The GPU-clock L2 steps of the span are no-ops: the
+    /// jump also stops at the L2 release bound.
     pub fn quiet_replay_all(&mut self, first: Cycle, ticks: u64) {
         if ticks == 0 {
             return;
@@ -479,19 +481,38 @@ impl MemoryStage {
         self.compact_deferred();
     }
 
-    /// The earliest DRAM cycle at or after `dram_now` at which any
-    /// partition has work, or `None` while all are idle. Probes only the
-    /// active set: every partition outside it is idle.
-    pub fn next_activity_cycle(&self, dram_now: Cycle) -> Option<Cycle> {
+    /// Whether any partition holds a PIM ack. Exact without catching up
+    /// lagging partitions: replaying deferred visits only deposits acks,
+    /// and only the completion stage drains them, so a partition holding
+    /// one now still holds it once current — and is due now
+    /// ([`Partition::horizon`]).
+    pub(crate) fn acks_pending(&self) -> bool {
+        self.active.iter().any(|c| !self.get(c).acks().is_empty())
+    }
+
+    /// When the stage next needs a live visit, at GPU cycle `gpu_now` and
+    /// DRAM cycle `dram_now`: the earliest [`Partition::horizon`] in each
+    /// clock domain, `None` in both while every partition is idle. One
+    /// walk of the active set (every partition outside it is idle). The
+    /// walk stops at the first partition due at `gpu_now` and returns
+    /// that partition's horizon, since nothing can be skipped then. Read
+    /// it after [`MemoryStage::catch_up_to`], so every partition is
+    /// current.
+    pub(crate) fn horizon(&self, gpu_now: Cycle, dram_now: Cycle) -> Horizon {
         debug_assert!(
             (0..self.channel_count())
                 .all(|c| self.active.contains(c) || self.get(c).is_idle(dram_now)),
             "a partition outside the active set holds work"
         );
-        self.active
-            .iter()
-            .filter_map(|c| self.get(c).next_activity_cycle(dram_now))
-            .min()
+        let mut h = Horizon::default();
+        for c in self.active.iter() {
+            let p = self.get(c).horizon(gpu_now, dram_now);
+            if p.l2_release == Some(gpu_now) {
+                return p;
+            }
+            h = h.min(p);
+        }
+        h
     }
 }
 
@@ -552,13 +573,14 @@ mod tests {
             ActiveSet::default(),
             "a fresh stage holds no work"
         );
-        assert_eq!(m.next_activity_cycle(0), None);
+        assert_eq!(m.horizon(0, 0), Horizon::default());
 
         // `partition_mut` admits exactly the partition it hands out...
         let c = channel_of(&m, 0);
         assert!(m.partition_mut(c).try_accept(0, mem_read(1, 0)));
         assert_eq!(m.active().iter().collect::<Vec<_>>(), [c]);
-        assert_eq!(m.next_activity_cycle(7), Some(7));
+        let due = m.horizon(7, 7);
+        assert_eq!((due.l2_release, due.dram), (Some(7), Some(7)));
         // ...and the visit that finds it drained removes it again.
         let mut now = 0;
         while m.active().contains(c) {
@@ -573,7 +595,7 @@ mod tests {
         }
         assert_eq!(delivered.len(), 1);
         assert_eq!(m.active(), ActiveSet::default());
-        assert_eq!(m.next_activity_cycle(now), None);
+        assert_eq!(m.horizon(now, now), Horizon::default());
 
         // An eject through `partition_mut` admits an idle partition
         // without replaying the visits deferred while it was idle...

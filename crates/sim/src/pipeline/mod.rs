@@ -74,8 +74,9 @@ impl std::fmt::Debug for MountedKernel {
 }
 
 /// End-of-cycle kernel bookkeeping: records first-run times and restarts
-/// looping kernels.
-pub fn check_kernel_completion(kernels: &mut [MountedKernel], now: Cycle) {
+/// looping kernels. A restart voids the issue bounds the kernel's SMs
+/// sleep on, so it wakes them in `issue`'s wake table.
+pub fn check_kernel_completion(kernels: &mut [MountedKernel], issue: &mut IssueStage, now: Cycle) {
     for kernel in kernels {
         if !kernel.model.is_done() {
             continue;
@@ -87,6 +88,7 @@ pub fn check_kernel_completion(kernels: &mut [MountedKernel], now: Cycle) {
             }
             kernel.runs += 1;
             kernel.model.reset();
+            issue.wake(&kernel.sms);
             kernel.run_started = now + 1;
         } else if kernel.first_run_cycles.is_none() {
             kernel.first_run_cycles = Some(now + 1 - kernel.run_started);

@@ -3,14 +3,16 @@
 //! partitions (L2 + MC + DRAM) → reply crossbar → SM completion — across
 //! the GPU and DRAM clock domains of Table I.
 //!
-//! The main loop is event-driven where it can be: when every network
-//! queue and every partition is provably empty, the simulator jumps its
-//! clocks directly to the next cycle at which some kernel can issue
-//! (see [`Simulator::set_fast_forward`]), instead of ticking idle
-//! components one cycle at a time. The skip is exact — fast-forwarded
-//! runs are bit-identical to lock-step runs — because idle cycles mutate
-//! nothing but the clocks, and the clock coupling uses exact integer
-//! arithmetic ([`SystemConfig::dram_clock_ratio`]).
+//! The main loop is event-driven where it can be: when no SM is due to
+//! issue, both networks are empty and no memory partition can act, the
+//! simulator jumps its clocks directly to the next cycle at which one of
+//! them can (see [`Simulator::set_fast_forward`]), instead of ticking
+//! waiting components one cycle at a time. The skip is exact —
+//! fast-forwarded runs are bit-identical to lock-step runs — because the
+//! skipped cycles mutate nothing but the clocks and the stalled
+//! controllers' stats integrals (replayed in bulk), and the clock
+//! coupling uses exact integer arithmetic
+//! ([`SystemConfig::dram_clock_ratio`]).
 
 use std::time::Instant;
 
@@ -495,7 +497,7 @@ impl Simulator {
         }
 
         // 7. Kernel completion / restart bookkeeping.
-        check_kernel_completion(&mut self.kernels, now);
+        check_kernel_completion(&mut self.kernels, &mut self.issue, now);
         Self::lap(&mut mark, &mut prof, |p| &mut p.completion_ns);
 
         self.clock.finish_gpu_cycle();
@@ -508,86 +510,73 @@ impl Simulator {
     /// Attempts to jump the clocks over a provably quiet span, stopping
     /// at `limit`. Returns whether any cycles were skipped.
     ///
-    /// Soundness: the jump is taken only when both network stages report
-    /// no activity and every memory partition is either fully idle or
-    /// *quiet* — all of its buffers empty and its controller inside a
-    /// stall window (its activity horizon strictly in the future). In
-    /// that state a lock-step [`Simulator::step`] mutates nothing but the
-    /// cycle counters and the quiet controllers' stats integrals — issue
-    /// finds no ready kernel (by the [`KernelModel::next_activity_cycle`]
-    /// contract), the crossbars add zero to their occupancy integrals
-    /// without touching arbiter state, the L2 stages find empty ports,
-    /// and each quiet controller's cycles are replayed exactly by
-    /// [`MemoryStage::quiet_replay_all`] after the jump. The skip is
-    /// bounded by both the earliest kernel-pacing event and (via
-    /// [`ClockCoupler::max_jump_for_dram_bound`]) the memory stage's
-    /// horizon, so no skipped DRAM tick ever reaches a cycle where a
-    /// controller would issue a command, pop a completion, or service a
-    /// refresh.
+    /// The jump lands on the first cycle at which some component can
+    /// act: the issue stage's next due SM (its wake table, fed by the
+    /// per-slot [`KernelModel::next_issue_cycle`] bounds), the memory
+    /// stage's next L2 release (GPU clock) or controller horizon (DRAM
+    /// clock, via [`ClockCoupler::max_jump_for_dram_bound`]), or
+    /// `limit`. Requests may be in flight throughout — queued in a
+    /// stalled controller, moving as DRAM data, or waiting in an L2 hit
+    /// pipeline.
+    ///
+    /// Soundness: the jump is taken only when both crossbars are empty,
+    /// no reply waits in a partition wire, no SM is due, and every
+    /// partition's ports and wires are empty. Then a lock-step
+    /// [`Simulator::step`] before the landing cycle mutates nothing but
+    /// the clocks and the controllers' stats integrals: issue polls no
+    /// SM, the crossbars add zero to their occupancy integrals without
+    /// touching arbiter state, the L2 front halves find nothing to do,
+    /// and no DRAM tick reaches a cycle where a controller would issue a
+    /// command, pop a completion, or service a refresh — those are
+    /// replayed exactly by [`MemoryStage::quiet_replay_all`] after the
+    /// jump.
+    ///
+    /// The probes run cheapest first — crossbar occupancy, the reply
+    /// summary, the issue stage's due cycle, pending PIM acks — so a busy
+    /// cycle is refused before the memory stage catches up its deferred
+    /// visits, which would cut their replay windows short.
     pub(crate) fn skip_idle_span(&mut self, limit: Cycle) -> bool {
         let now = self.clock.gpu_now();
-        if now >= limit {
-            return false;
-        }
-        // O(1) gate: every kernel request holds its inflight entry from
-        // crossbar injection until its reply (or ack) is delivered, so a
-        // nonempty table proves some component is busy without scanning
-        // any of them.
-        if !self.completion.inflight().is_empty() {
-            return false;
-        }
-        // The reply horizon folds in replies queued in partition wires
-        // but not yet injected.
-        if self.request_net.next_activity_cycle(now).is_some()
+        if now >= limit
+            || self.request_net.occupancy() > 0
             || self.reply_net.horizon(now, &self.memory).is_some()
         {
             return false;
         }
-        let dram_now = self.clock.dram_now();
-        // Replay any deferred production *before* the activity probe, so
-        // it reads every active partition's state at `dram_now`.
-        self.memory.catch_up_to(dram_now);
-        let mem_horizon = self.memory.next_activity_cycle(dram_now);
-        if mem_horizon.is_some_and(|at| at <= dram_now) {
-            // Some partition needs servicing this very DRAM cycle
-            // (buffered work, or a controller mid burst plan).
+        let issue_due = self.issue.next_activity_cycle(now);
+        if issue_due.is_some_and(|at| at <= now) || self.memory.acks_pending() {
             return false;
         }
-        // Nothing needs per-cycle servicing: only kernel pacing (and the
-        // memory horizon, folded in below) can create work.
-        let target = self
-            .kernels
-            .iter()
-            .filter_map(|k| k.model.next_activity_cycle(now))
-            .map(|c| c.max(now))
-            .min();
-        let Some(target) = target else {
-            // No kernel will ever issue again; let the lock-step path burn
+        let dram_now = self.clock.dram_now();
+        // Replay any deferred production *before* reading horizons, so
+        // every active partition is read at `dram_now`.
+        self.memory.catch_up_to(dram_now);
+        let mem = self.memory.horizon(now, dram_now);
+        let dram_bound = mem.dram.map(|h| self.clock.max_jump_for_dram_bound(h));
+        let Some(target) = [issue_due, mem.l2_release, dram_bound]
+            .into_iter()
+            .flatten()
+            .min()
+        else {
+            // Nothing will ever act again; let the lock-step path burn
             // the budget exactly as it would with fast-forward off.
             return false;
         };
-        let mut target = target.min(limit);
-        if let Some(h) = mem_horizon {
-            // Every skipped DRAM tick must stay strictly below the
-            // horizon: cap the jump so `dram_now()` lands at most on `h`.
-            target = target.min(self.clock.max_jump_for_dram_bound(h));
-        }
+        let target = target.min(limit);
         if target <= now {
             return false;
         }
         self.skips += 1;
         self.skipped_cycles += target - now;
         // Both crossbars collapse the span per their quiet-span
-        // contract (they reported no activity above, so they buffer
-        // nothing and empty arbitration cycles are no-ops).
+        // contract (they buffer nothing, and empty arbitration cycles
+        // are no-ops).
         let quiet = self.request_net.skip_quiet_span(now, target - now)
             && self.reply_net.skip_quiet_span(now, target - now);
         debug_assert!(quiet, "skip licensed with flits buffered in a crossbar");
         self.clock.jump_to(target);
-        if mem_horizon.is_some() {
-            let ticks = self.clock.dram_now() - dram_now;
-            self.memory.quiet_replay_all(dram_now, ticks);
-        }
+        let ticks = self.clock.dram_now() - dram_now;
+        self.memory.quiet_replay_all(dram_now, ticks);
         true
     }
 }

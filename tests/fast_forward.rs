@@ -5,11 +5,14 @@
 //! skip may only cover cycles in which a lock-step `step()` would have
 //! mutated nothing but the clocks.
 
+use std::sync::{Arc, Mutex};
+
 use pim_coscheduling::core::policy::PolicyKind;
 use pim_coscheduling::core::McStats;
+use pim_coscheduling::gpu::IssuedRequest;
 use pim_coscheduling::sim::experiments::sweep::parallel_map;
 use pim_coscheduling::sim::{KernelModel, Runner, Simulator};
-use pim_coscheduling::types::{SystemConfig, VcMode};
+use pim_coscheduling::types::{Cycle, RequestId, SystemConfig, VcMode};
 use pim_coscheduling::workloads::{
     gpu_kernel, pim_kernel, pim_suite::PimBenchmark, rodinia::GpuBenchmark,
 };
@@ -29,6 +32,17 @@ fn runner_ev(policy: PolicyKind, vc_mode: VcMode, fast_forward: bool, events: bo
     r.fast_forward = fast_forward;
     r.event_delivery = events;
     r
+}
+
+/// The two DRAM backends, the second resolved through the backend
+/// registry exactly like `--dram`.
+fn backends() -> [(&'static str, SystemConfig); 2] {
+    let kind =
+        pim_coscheduling::dram::backend::parse_spec("lp5x:ranks=4").expect("registered backend");
+    [
+        ("hbm", SystemConfig::default()),
+        ("lp5x", pim_coscheduling::dram::backend::system_config(kind)),
+    ]
 }
 
 /// Field-by-field equality of merged controller stats. `McStats` holds
@@ -129,6 +143,181 @@ fn standalone_mem_matches_across_ff_modes() {
                 assert_mc_identical(&on.mc, &off.mc, &ctx);
             }
         }
+    }
+}
+
+/// A kernel under observation: forwards everything to the wrapped model
+/// and logs the cycle of every completion it receives, in order. Two
+/// runs' logs differ as soon as one reply or ack arrives late, even when
+/// no total moves (a compute-bound kernel ends on its last reply, not on
+/// one from mid-run). With `polled` set it also hides the model's issue
+/// bound behind the conservative default, so the issue stage polls its
+/// SMs on every cycle: the reference the wake table must match.
+struct Observed {
+    inner: Box<dyn KernelModel>,
+    polled: bool,
+    completions: Arc<Mutex<Vec<Cycle>>>,
+}
+
+impl Observed {
+    /// Wraps `inner`; the returned log fills as the simulation runs.
+    fn wrap(
+        inner: Box<dyn KernelModel>,
+        polled: bool,
+    ) -> (Box<dyn KernelModel>, Arc<Mutex<Vec<Cycle>>>) {
+        let completions = Arc::new(Mutex::new(Vec::new()));
+        let k = Observed {
+            inner,
+            polled,
+            completions: Arc::clone(&completions),
+        };
+        (Box::new(k), completions)
+    }
+}
+
+impl KernelModel for Observed {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+
+    fn num_slots(&self) -> usize {
+        self.inner.num_slots()
+    }
+
+    fn try_issue(&mut self, slot: usize, now: Cycle, id: RequestId) -> Option<IssuedRequest> {
+        self.inner.try_issue(slot, now, id)
+    }
+
+    fn on_complete(&mut self, slot: usize, id: RequestId, now: Cycle) {
+        self.completions.lock().expect("log").push(now);
+        self.inner.on_complete(slot, id, now);
+    }
+
+    fn is_done(&self) -> bool {
+        self.inner.is_done()
+    }
+
+    fn total_requests(&self) -> u64 {
+        self.inner.total_requests()
+    }
+
+    fn reset(&mut self) {
+        self.inner.reset();
+    }
+
+    fn next_issue_cycle(&self, slot: usize, now: Cycle) -> Option<Cycle> {
+        if self.polled {
+            Some(now)
+        } else {
+            self.inner.next_issue_cycle(slot, now)
+        }
+    }
+
+    fn wants_completions(&self, now: Cycle) -> bool {
+        self.inner.wants_completions(now)
+    }
+}
+
+/// Compute-bound MEM kernels — the workloads fast-forward exists for —
+/// spend most cycles waiting on requests in flight: queued in a stalled
+/// controller, moving as DRAM data, or sitting in an L2 hit pipeline,
+/// while every SM paces. Fast-forward jumps those waits, so every
+/// observable must match the eager run (fast-forward, event delivery and
+/// ack batching all off) cycle for cycle, down to the cycle of each
+/// completion: G7, G10 and G12 on 1 and 8 SMs, on both DRAM backends,
+/// with event delivery and ack batching each on or off under
+/// fast-forward.
+#[test]
+fn compute_bound_mem_matches_eager_oracle() {
+    for (backend, cfg) in backends() {
+        for bench in [GpuBenchmark(7), GpuBenchmark(10), GpuBenchmark(12)] {
+            for sms in [1, 8] {
+                let run = |ff: bool, events: bool, batching: bool| {
+                    let mut r = Runner::new(cfg.clone(), PolicyKind::FrFcfs);
+                    r.max_gpu_cycles = BUDGET;
+                    r.fast_forward = ff;
+                    r.event_delivery = events;
+                    r.ack_batching = batching;
+                    let (k, log) = Observed::wrap(Box::new(gpu_kernel(bench, sms, SCALE)), false);
+                    let out = r.standalone(k, 0, false).expect("finishes");
+                    let log = log.lock().expect("log").clone();
+                    (out, log)
+                };
+                let (eager, eager_log) = run(false, false, false);
+                for (events, batching) in [(true, true), (false, true), (true, false)] {
+                    let ctx =
+                        format!("{bench}/{sms} SMs/{backend}/events={events}/batching={batching}");
+                    let (got, log) = run(true, events, batching);
+                    assert_eq!(got.cycles, eager.cycles, "{ctx}: total cycles");
+                    assert_eq!(
+                        got.icnt_injections, eager.icnt_injections,
+                        "{ctx}: injections"
+                    );
+                    assert_mc_identical(&got.mc, &eager.mc, &ctx);
+                    assert!(log == eager_log, "{ctx}: completion cycles differ");
+                }
+            }
+        }
+    }
+}
+
+/// Two looping MEM kernels, G10 on SMs 0-3 and G12 on SMs 4-7: the one
+/// that finishes first restarts and issues its second run while the
+/// other finishes its first. A restart voids the issue bounds its SMs
+/// sleep on. Fast-forward on and off must agree on cycles, first-run
+/// cycles, runs, controller stats and completion cycles, and so must a
+/// reference whose kernels are polled every cycle. Keeping wakes across
+/// a reset would silence the restarted kernel in both fast-forward modes
+/// alike; the reference is what catches that.
+#[test]
+fn restarting_kernels_match_across_ff_modes() {
+    let run = |ff: bool, polled: bool| {
+        let mut sim = Simulator::new(SystemConfig::default(), PolicyKind::FrFcfs);
+        sim.set_fast_forward(ff);
+        let mut logs = Vec::new();
+        for (bench, first_sm) in [(GpuBenchmark(10), 0), (GpuBenchmark(12), 4)] {
+            let (k, log) = Observed::wrap(Box::new(gpu_kernel(bench, 4, SCALE)), polled);
+            sim.mount(k, (first_sm..first_sm + 4).collect(), false, true);
+            logs.push(log);
+        }
+        let cycles = sim.run_until_all_first_done(BUDGET).expect("finishes");
+        let kernels: Vec<_> = sim
+            .kernels()
+            .iter()
+            .map(|k| {
+                (
+                    k.first_run_cycles,
+                    k.runs,
+                    k.icnt_injections,
+                    k.model.total_requests(),
+                )
+            })
+            .collect();
+        let logs: Vec<Vec<Cycle>> = logs
+            .iter()
+            .map(|l| l.lock().expect("log").clone())
+            .collect();
+        (cycles, kernels, sim.merged_mc_stats(), logs)
+    };
+    let reference = run(false, true);
+    assert!(
+        reference
+            .1
+            .iter()
+            .any(|&(_, runs, injected, total)| runs >= 1 && injected > total),
+        "no kernel issued after its restart: {:?}",
+        reference.1
+    );
+    for ff in [false, true] {
+        let ctx = format!("restart/ff={ff}");
+        let got = run(ff, false);
+        assert_eq!(got.0, reference.0, "{ctx}: total cycles");
+        assert_eq!(
+            got.1, reference.1,
+            "{ctx}: (first-run cycles, runs, injections, total) per kernel"
+        );
+        assert_mc_identical(&got.2, &reference.2, &ctx);
+        assert!(got.3 == reference.3, "{ctx}: completion cycles differ");
     }
 }
 
@@ -258,13 +447,7 @@ fn event_delivery_matches_eager_oracle() {
 /// loosened by 3 cycles passes the burst input and fails this one.
 #[test]
 fn ack_batching_matches_per_tick_oracle() {
-    let lp5x = {
-        // Resolved through the backend registry, exactly like `--dram`.
-        let kind = pim_coscheduling::dram::backend::parse_spec("lp5x:ranks=4")
-            .expect("registered backend");
-        pim_coscheduling::dram::backend::system_config(kind)
-    };
-    for (backend, cfg) in [("hbm", SystemConfig::default()), ("lp5x", lp5x)] {
+    for (backend, cfg) in backends() {
         // The throttled kernel runs at a larger scale than the burst so
         // its warps spend most of the run at their cap.
         for (shape, cap, scale) in [("pim", 256, SCALE), ("pim-cap4", 4, 0.1)] {
@@ -321,12 +504,13 @@ fn ack_batching_matches_per_tick_oracle() {
 
 /// Regression pin for the standalone-MEM fast-forward collapse: a
 /// compute-bound MEM kernel (G10 on 8 SMs) spends most of its time with
-/// nothing in flight, so the skip path must engage — and because the
-/// memory stage's reply summary and active set are exact, the probe must
-/// see the same quiet spans whether or not ack batching defers memory
-/// visits. A stale summary (true for a whole deferral window after the
-/// reply network drained the wires) blocked almost every probe with
-/// batching on and none with it off.
+/// no SM due and nothing able to act — its requests either done or
+/// waiting on DRAM timing — so the skip path must cover at least half of
+/// the run. Because the memory stage's reply summary and active set are
+/// exact, the probe must also see the same quiet spans whether or not
+/// ack batching defers memory visits. A stale summary (true for a whole
+/// deferral window after the reply network drained the wires) blocked
+/// almost every probe with batching on and none with it off.
 #[test]
 fn mem_sparse_fast_forward_is_batching_independent() {
     let run = |acks: bool| {
@@ -339,7 +523,11 @@ fn mem_sparse_fast_forward_is_batching_independent() {
         (cycles, sim.fast_forward_stats())
     };
     let eager = run(false);
-    assert!(eager.1 .0 > 0, "the skip path never engaged: {eager:?}");
+    let (cycles, (_, skipped)) = eager;
+    assert!(
+        skipped as f64 >= 0.5 * cycles as f64,
+        "fast-forward covered {skipped} of {cycles} cycles: {eager:?}"
+    );
     assert_eq!(
         run(true),
         eager,

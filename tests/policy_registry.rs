@@ -83,3 +83,72 @@ fn runner_from_spec_matches_registry_defaults() {
         }
     );
 }
+
+/// Parameter values the policy constructors reject must fail in the
+/// registry, with its out-of-range wording, instead of parsing into a
+/// kind whose `build()` panics. That holds through `parse_spec`, the CLI's
+/// `--policy` and its `--mem-cap`/`--pim-cap` flags alike.
+#[test]
+fn out_of_range_parameters_are_errors_not_panics() {
+    let cli = |line: &str| {
+        let args: Vec<String> = line.split_whitespace().map(str::to_string).collect();
+        pimsim_cli::parse_args(&args)
+    };
+    for spec in [
+        "f3fs:mem-cap=0",
+        "f3fs:pim-cap=0",
+        "f3fs-no-mode-first:mem-cap=0",
+        "f3fs-no-mode-first:pim-cap=0",
+        "sms:batch-cap=0",
+        "sms:sjf-percent=101",
+        "gi:high=0",
+        // The default high watermark is 56.
+        "gi:low=70",
+        "gi:high=10,low=20",
+        "gi:low=20,high=20",
+    ] {
+        let e = PolicyKind::parse_spec(spec).expect_err(spec);
+        assert!(e.0.contains("out of range"), "{spec}: {e}");
+        let line = format!("coexec --gpu G4 --pim P1 --scale 0.005 --policy {spec}");
+        assert!(cli(&line).is_err(), "CLI accepted {spec}");
+    }
+    for flags in ["--mem-cap 0", "--pim-cap 0"] {
+        let line = format!("standalone --gpu G4 --policy f3fs {flags}");
+        let e = cli(&line).expect_err(&line);
+        assert!(e.to_string().contains("out of range"), "{line}: {e}");
+    }
+    // The watermark order is checked once every pair is applied, so a
+    // spec may lower `high` below the default `low` before lowering `low`.
+    for (spec, kind) in [
+        (
+            "gi:high=30,low=20",
+            PolicyKind::GatherIssue { high: 30, low: 20 },
+        ),
+        (
+            "gi:low=70,high=80",
+            PolicyKind::GatherIssue { high: 80, low: 70 },
+        ),
+        ("gi:high=33", PolicyKind::GatherIssue { high: 33, low: 32 }),
+        (
+            "gi:high=1,low=0",
+            PolicyKind::GatherIssue { high: 1, low: 0 },
+        ),
+        (
+            "sms:batch-cap=1,sjf-percent=100",
+            PolicyKind::Sms {
+                batch_cap: 1,
+                sjf_percent: 100,
+            },
+        ),
+        (
+            "f3fs:mem-cap=1,pim-cap=1",
+            PolicyKind::F3fs {
+                mem_cap: 1,
+                pim_cap: 1,
+            },
+        ),
+    ] {
+        assert_eq!(PolicyKind::parse_spec(spec), Ok(kind), "{spec}");
+        let _ = kind.build();
+    }
+}
