@@ -131,7 +131,7 @@ pub fn parse_dram(s: &str) -> Result<DramBackendKind, ParseCliError> {
 /// Parses the full argument list (without the program name).
 pub fn parse_args(args: &[String]) -> Result<Command, ParseCliError> {
     let Some((sub, rest)) = args.split_first() else {
-        return err(USAGE);
+        return err("missing subcommand");
     };
     match sub.as_str() {
         "list" => Ok(Command::List),
@@ -224,7 +224,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, ParseCliError> {
                 _ => Ok(Command::Collab(opts)),
             }
         }
-        other => err(format!("unknown subcommand: {other}\n{USAGE}")),
+        other => err(format!("unknown subcommand: {other}")),
     }
 }
 
@@ -518,6 +518,16 @@ mod tests {
                 clear_interval: 10_000
             }
         );
+    }
+
+    #[test]
+    fn subcommand_errors_leave_the_usage_text_to_main() {
+        // `main` prints `USAGE` after every parse error, so an error that
+        // embedded it would print it twice.
+        for argv in ["", "frob"] {
+            let e = parse_args(&args(argv)).unwrap_err();
+            assert!(!e.0.contains(USAGE), "{argv:?}: {e}");
+        }
     }
 
     #[test]

@@ -220,10 +220,10 @@ pub struct StepMix {
     /// batching was retired (DESIGN.md §4l). Kept only because pimbench
     /// still reports it as `batch.requests_batched`.
     pub requests_batched: u64,
-    /// Per-partition catch-up replays that had at least one deferred
-    /// visit to work through.
+    /// Catch-ups of a partition that lagged the memory stage by at least
+    /// one visit.
     pub replay_batches: u64,
-    /// Deferred stage visits replayed across all `replay_batches` — the
+    /// Lagged stage visits replayed across all `replay_batches` — the
     /// numerator of [`StepMix::mean_deferral_window`].
     pub replayed_visits: u64,
 }
@@ -236,10 +236,10 @@ impl StepMix {
         (total > 0).then(|| self.burst_retired as f64 / total as f64)
     }
 
-    /// Mean deferred visits replayed per per-partition catch-up — the
-    /// length of the average deferral window as one partition sees it
-    /// (DESIGN.md §4k). Per-eject catch-ups keep it short on saturated
-    /// PIM (≈4 visits on hotloop's `standalone_pim`).
+    /// Mean lagged visits replayed per catch-up — the length of the
+    /// average lag as one partition sees it (DESIGN.md §4k). Per-eject
+    /// catch-ups keep it short on saturated PIM (≈4 visits on hotloop's
+    /// `standalone_pim`).
     pub fn mean_deferral_window(&self) -> Option<f64> {
         (self.replay_batches > 0).then(|| self.replayed_visits as f64 / self.replay_batches as f64)
     }

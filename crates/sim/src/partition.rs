@@ -24,7 +24,7 @@ use pimsim_core::{Completion, MemoryController, SchedulePolicy};
 use pimsim_dram::AddressMapper;
 use pimsim_types::{Cycle, DecodedAddr, Request, RequestId, RequestKind, SystemConfig, VcMode};
 
-use crate::pipeline::{INTERNAL_ID_BIT, INTERNAL_LANE_SHIFT};
+use crate::pipeline::{ClockCoupler, INTERNAL_ID_BIT, INTERNAL_LANE_SHIFT};
 
 /// Soft threshold on buffered outbound replies before the L2 stalls.
 ///
@@ -70,6 +70,28 @@ impl Horizon {
     }
 }
 
+/// A partition's lag behind the memory stage ([`Partition::visit`]).
+#[derive(Debug)]
+struct Lag {
+    /// The clock at the first GPU cycle the partition has not applied.
+    clock: ClockCoupler,
+    /// The partition's bulk horizon there: it may keep lagging through
+    /// every visit whose DRAM ticks end at or before this tick.
+    limit: Cycle,
+}
+
+/// How a partition took one memory-stage visit ([`Partition::visit`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Visit {
+    /// Skipped, to be replayed when the partition is caught up.
+    Lagged,
+    /// Skipped for good: the partition is idle, a fixed point of
+    /// stepping, so the stage may drop it from its active set.
+    Idle,
+    /// Stepped live.
+    Live,
+}
+
 /// One memory partition.
 #[derive(Debug)]
 pub struct Partition {
@@ -100,10 +122,7 @@ pub struct Partition {
     /// Non-PIM requests currently staged across the ingress and L2→DRAM
     /// ports — an O(1) mirror of scanning both ports, kept so the
     /// pure-PIM test in [`Partition::bulk_horizon`] costs nothing on the
-    /// per-eject horizon invalidation path. Updated at every port
-    /// entry/exit; pushing through [`Partition::ingress_mut`] bypasses
-    /// the accounting (the debug cross-check in `bulk_horizon` trips if
-    /// a driver does that and then defers).
+    /// per-visit horizon read. Updated at every port entry/exit.
     staged_mem: usize,
     /// Round-robin pointers for lane service.
     rr_icnt: usize,
@@ -112,6 +131,13 @@ pub struct Partition {
     /// see [`Partition::mint_internal_id`].
     next_internal_id: u64,
     stats: PartitionStats,
+    /// The partition's lag behind the memory stage; `None` while it is
+    /// current.
+    lag: Option<Lag>,
+    /// Catch-ups that replayed at least one lagged visit.
+    replay_batches: u64,
+    /// Lagged visits replayed, summed over all catch-ups.
+    replayed_visits: u64,
 }
 
 impl Partition {
@@ -139,6 +165,9 @@ impl Partition {
             rr_l2dram: 0,
             next_internal_id: 0,
             stats: PartitionStats::default(),
+            lag: None,
+            replay_batches: 0,
+            replayed_visits: 0,
         }
     }
 
@@ -193,11 +222,6 @@ impl Partition {
     /// The interconnect→L2 ingress port.
     pub fn ingress(&self) -> &Port<Request> {
         &self.ingress
-    }
-
-    /// Mutable access to the ingress port (tests and custom drivers).
-    pub fn ingress_mut(&mut self) -> &mut Port<Request> {
-        &mut self.ingress
     }
 
     /// The MEM reply wire feeding the reply network.
@@ -507,29 +531,30 @@ impl Partition {
             .any(|lane| lane.iter().any(|r| !r.kind.is_pim()))
     }
 
-    /// How far the memory stage may defer this partition's servicing
-    /// (both the L2 front half and DRAM ticks), given the next
-    /// unserviced DRAM tick is `from`: every tick in `[from, horizon)`
-    /// is reproducible later by [`Partition::replay_spans`] with
-    /// bit-identical state and no observable (reply, ack delivery, fill)
-    /// surfacing inside the window — provided no request is ejected into
-    /// the partition in between (the memory stage re-derives the horizon
-    /// on any `partition_mut` access). `None` means the partition needs
-    /// live per-cycle service.
+    /// How far this partition may lag the memory stage (both the L2
+    /// front half and DRAM ticks), given the next unserviced DRAM tick is
+    /// `from`: every tick in `[from, horizon)` is reproducible later by
+    /// `Partition::catch_up` with bit-identical state and no observable
+    /// (reply, ack delivery, fill) surfacing inside the window — provided
+    /// no request is ejected into the partition in between (the memory
+    /// stage catches the partition up on any `partition_mut` access, and
+    /// a current partition reads its horizon afresh at every visit).
+    /// `None` means the partition needs live per-cycle service.
     ///
-    /// MEM-side work refuses deferral outright: L2 hits, fills, and
+    /// MEM-side work refuses lagging outright: L2 hits, fills, and
     /// writebacks push replies at cycle granularity. A *pure-PIM*
     /// pipeline (PIM requests waiting in the ingress or L2→DRAM ports)
-    /// is deferrable and does not bound the window: PIM bypasses the
-    /// L2, touches no reply wire, and the acks it produces are pulled
-    /// by the delivery stage, which replays lagging partitions before
-    /// every drain — so no production deadline falls inside the window.
-    /// The one coupling to MEM state is the reply-wire backpressure
-    /// threshold in the L2 service loop: while the wire sits below
-    /// `REPLY_OUT_CAP` and only drains (nothing in a pure-PIM window
-    /// pushes it), the threshold check resolves identically live and at
-    /// replay; at or above the cap the stall could lift mid-window, so
-    /// defer is refused.
+    /// may lag and does not bound the window: PIM bypasses the L2,
+    /// touches no reply wire, and the acks it produces are pulled by the
+    /// delivery stage, which catches lagging partitions up before every
+    /// drain — so no production deadline falls inside the window. The
+    /// one coupling to MEM state is the reply-wire backpressure threshold
+    /// in the L2 service loop: while the wire sits below `REPLY_OUT_CAP`
+    /// and only drains (nothing in a pure-PIM window pushes it, and the
+    /// reply network catches a partition up before popping it), the
+    /// threshold check resolves identically live and at replay; at or
+    /// above the cap the stall could lift mid-window, so lagging is
+    /// refused.
     pub fn bulk_horizon(&self, from: Cycle) -> Option<Cycle> {
         if !self.l2_delay.is_empty()
             || !self.pending_fills.is_empty()
@@ -548,8 +573,8 @@ impl Partition {
         }
         // Buffered pure-PIM work does not bound the window: ingestion
         // and issue replay through the live code paths, and the acks
-        // they produce are *pulled* by the delivery stage (which replays
-        // lagging partitions before every drain), so no production
+        // they produce are *pulled* by the delivery stage (which catches
+        // lagging partitions up before every drain), so no production
         // deadline falls inside the window (DESIGN.md §4k). MEM work
         // cannot hide here — `staged_mem > 0` refused above — so the
         // controller's own horizon (exact-tick MEM completions, MEM
@@ -557,50 +582,77 @@ impl Partition {
         self.mc.bulk_horizon(from)
     }
 
-    /// Replays deferred stage visits `(gpu_cycle, first_dram_tick,
-    /// dram_ticks)` — the catch-up half of the
-    /// [`Partition::bulk_horizon`] contract. While pure-PIM work sits in
-    /// the ports, each visit replays through the *live* code path —
-    /// `step_l2` plus `step_dram_span` — which is bit-identical to having
-    /// never deferred. Once the pipeline is frozen (empty ports, quiet L2
-    /// front half), the remaining visits' L2 steps are provable no-ops —
-    /// arrivals come only through the memory stage's `partition_mut`,
-    /// which catches the partition up first — so their DRAM ticks
-    /// collapse into one contiguous span through
-    /// [`Partition::catch_up_span`].
-    pub fn replay_spans(&mut self, spans: &[(Cycle, Cycle, u64)], mapper: &AddressMapper) {
-        for &(gpu_now, first_dram, ticks) in spans {
-            if self.l2_quiet() && self.to_dram.is_empty() {
-                let (_, last_first, last_ticks) = spans[spans.len() - 1];
-                self.catch_up_span(first_dram, last_first + last_ticks - first_dram);
-                return;
+    /// One memory-stage visit: GPU cycle `at.gpu_now()` with the DRAM
+    /// ticks `[at.dram_now(), at.dram_now() + ticks)`, where `at` is the
+    /// stage clock at the visit (DESIGN.md §4k). A lagging partition
+    /// keeps lagging while the bulk horizon it read when its lag began
+    /// covers the window. That horizon is frozen there — typically a
+    /// burst plan long since succeeded by the next one — so a refusal
+    /// says nothing about the live schedule: the partition catches up and
+    /// asks again, as a current partition, which reads its horizon
+    /// afresh.
+    pub(crate) fn visit(&mut self, at: &ClockCoupler, ticks: u64, mapper: &AddressMapper) -> Visit {
+        let (from, end) = (at.dram_now(), at.dram_now() + ticks);
+        if let Some(lag) = &self.lag {
+            if end <= lag.limit {
+                return Visit::Lagged;
             }
-            self.step_l2(gpu_now);
-            self.step_dram_span(first_dram, ticks, mapper);
+            self.catch_up(at, mapper);
+        }
+        match self.bulk_horizon(from) {
+            Some(Cycle::MAX) if self.is_idle(from) => Visit::Idle,
+            Some(limit) if end <= limit => {
+                self.lag = Some(Lag {
+                    clock: at.clone(),
+                    limit,
+                });
+                Visit::Lagged
+            }
+            _ => {
+                self.step_l2(at.gpu_now());
+                self.step_dram_span(from, ticks, mapper);
+                Visit::Live
+            }
         }
     }
 
-    /// Replays the deferred DRAM ticks `[first, first+ticks)` for a
-    /// partition with a frozen, empty pipeline: nothing to ingest, so
-    /// this never consults the address mapper — it bulk-replays the span
-    /// through the controller's stall memo or plan window, falling back
-    /// to per-tick controller steps without the ingest scan.
-    pub fn catch_up_span(&mut self, first: Cycle, ticks: u64) {
-        if ticks == 0 {
+    /// Replays the stage visits this partition lagged through, up to the
+    /// stage clock `to` — the catch-up half of the
+    /// [`Partition::bulk_horizon`] contract. No-op while current. Each
+    /// visit replays through the *live* code path — `step_l2` plus
+    /// `step_dram_span`, its DRAM span taken from the partition's own
+    /// copy of the clock — which is bit-identical to never having lagged.
+    /// Once the ports and the L2 front half are quiet, the remaining
+    /// visits' L2 steps are provable no-ops — arrivals come only through
+    /// the memory stage's `partition_mut`, which catches the partition up
+    /// first — so their DRAM ticks collapse into one span.
+    pub(crate) fn catch_up(&mut self, to: &ClockCoupler, mapper: &AddressMapper) {
+        let Some(Lag { mut clock, .. }) = self.lag.take() else {
             return;
+        };
+        self.replay_batches += 1;
+        self.replayed_visits += to.gpu_now() - clock.gpu_now();
+        while clock.gpu_now() < to.gpu_now() && !(self.l2_quiet() && self.to_dram.is_empty()) {
+            let now = clock.gpu_now();
+            clock.accrue_gpu_cycle();
+            let (first, ticks) = clock.take_dram_span();
+            clock.finish_gpu_cycle();
+            self.step_l2(now);
+            self.step_dram_span(first, ticks, mapper);
         }
-        debug_assert!(self.to_dram.is_empty(), "deferred span had an ingest");
-        if self.mc.quiet_replay_span(first, ticks) || self.mc.plan_replay_span(first, ticks) {
-            return;
-        }
-        for t in 0..ticks {
-            let now = first + t;
-            if self.mc.is_idle(now) {
-                continue;
-            }
-            self.mc.step(now);
-            self.harvest_completions(now);
-        }
+        self.step_dram_span(clock.dram_now(), to.dram_now() - clock.dram_now(), mapper);
+    }
+
+    /// The first DRAM tick this partition has not applied while it lags
+    /// the memory stage; `None` while it is current.
+    pub(crate) fn lag_start(&self) -> Option<Cycle> {
+        self.lag.as_ref().map(|lag| lag.clock.dram_now())
+    }
+
+    /// Cumulative catch-up counters: `(catch-ups that replayed at least
+    /// one visit, visits replayed)`.
+    pub(crate) fn replay_counters(&self) -> (u64, u64) {
+        (self.replay_batches, self.replayed_visits)
     }
 
     /// Whether a port or wire holds work: anything buffered outside the
@@ -861,15 +913,5 @@ mod tests {
             }
         }
         assert_eq!(seen.len(), 32 * 1000);
-    }
-
-    #[test]
-    #[should_panic(expected = "overflow")]
-    fn ingress_overflow_panics() {
-        let c = cfg();
-        let mut p = partition(&c);
-        for i in 0..=c.mc.icnt_to_l2_entries as u64 {
-            p.ingress_mut().lane_mut(0).send(mem_read(i, i * 32));
-        }
     }
 }

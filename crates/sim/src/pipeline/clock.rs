@@ -70,18 +70,18 @@ impl ClockCoupler {
     /// Consumes every pending DRAM tick at once, returning the first tick
     /// number and the tick count — `(first, n)` stands for the ticks
     /// `first, first+1, …, first+n-1`. Bit-identical to draining the same
-    /// credit through repeated [`ClockCoupler::take_dram_tick`] calls;
-    /// exists so the memory stage can dispatch one batch per GPU cycle
-    /// covering all of its DRAM ticks.
+    /// credit through repeated [`ClockCoupler::take_dram_tick`] calls,
+    /// and as cheap: one GPU cycle's credit fires at most `⌈num/den⌉`
+    /// ticks, so subtracting beats dividing. Exists so the memory stage
+    /// (and a lagging partition replaying a visit from its own copy) can
+    /// dispatch one batch per GPU cycle covering all of its DRAM ticks.
     pub fn take_dram_span(&mut self) -> (Cycle, u64) {
         let first = self.dram;
-        let n = self.acc / self.den;
-        self.acc -= n * self.den;
-        self.dram += n;
-        (first, n)
+        while self.take_dram_tick().is_some() {}
+        (first, self.dram - first)
     }
 
-    /// Ends the GPU cycle (call after all stages have stepped).
+    /// Ends the GPU cycle.
     pub fn finish_gpu_cycle(&mut self) {
         self.gpu += 1;
     }

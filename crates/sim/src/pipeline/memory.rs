@@ -5,13 +5,15 @@
 //! # The active set
 //!
 //! The stage keeps one `ActiveSet` of the partitions that may hold
-//! work, and every per-cycle loop — stepping, deferral checks, catch-up,
-//! the fast-forward probe, ack drains and the reply network's wire scan
-//! — walks it instead of every channel. A partition *leaves* when a visit
-//! that stepped or replayed it leaves it [`Partition::is_idle`] at the
-//! stage's DRAM service point; an idle partition is a fixed point of
-//! stepping (empty ports, quiet L2, idle controller), so skipping its
-//! visits is exact. It *re-enters* only where work can arrive:
+//! work, and every per-cycle loop — stepping, the fast-forward probe and
+//! quiet replay, ack drains, sync and the reply network's wire scan —
+//! walks it instead of every channel. A partition *leaves* when a live
+//! step or quiet replay leaves it [`Partition::is_idle`] at its DRAM
+//! service point, or when a visit that reads its bulk horizon afresh
+//! finds it idle; an idle partition is a fixed point of stepping (empty
+//! ports, quiet L2, idle controller), so skipping its visits is exact
+//! and it leaves current.
+//! It *re-enters* only where work can arrive:
 //! [`MemoryStage::partition_mut`] (the crossbar's eject hand-off, unit
 //! tests). Draining (acks, replies) only removes work, so those paths
 //! never admit a partition.
@@ -20,7 +22,8 @@ use pimsim_core::PolicyKind;
 use pimsim_dram::AddressMapper;
 use pimsim_types::{Cycle, Request, SystemConfig};
 
-use crate::partition::{Horizon, Partition};
+use crate::partition::{Horizon, Partition, Visit};
+use crate::pipeline::ClockCoupler;
 
 /// The channels whose partitions may hold work, as a bitset. 128 bits
 /// cover every legal channel index (the partitions' internal request-ID
@@ -57,87 +60,57 @@ impl ActiveSet {
     }
 }
 
-/// All memory partitions, stepped together in both clock domains: the L2
+/// All memory partitions, each on its own time (DESIGN.md §4k): the L2
 /// front halves on the GPU clock, the controllers and DRAM channels on
-/// the DRAM clock.
+/// the DRAM clock. The stage owns the simulation's [`ClockCoupler`], at
+/// the first GPU cycle it has not visited. A partition may lag behind it
+/// (`Partition::visit`), and is caught up wherever its state is
+/// observed: [`MemoryStage::partition_mut`],
+/// [`MemoryStage::drain_acks_into`], the fast-forward probe and sync.
 #[derive(Debug)]
 pub struct MemoryStage {
     partitions: Vec<Partition>,
     /// The partitions that may hold work (see the module docs). A
-    /// partition outside the set is idle, and every loop skips it.
+    /// partition outside the set is idle and current, and every loop
+    /// skips it.
     active: ActiveSet,
     /// Whether any partition's reply wire is non-empty — exact at all
-    /// times. Replies are only *created* inside
-    /// [`MemoryStage::step_cycle_all`] (the L2 front half releases fill
-    /// waiters and drains hit delays there; deferred visits never hold
-    /// MEM work, so replaying them creates none), which sets the flag,
-    /// and only *removed* by the reply network, which writes back what
-    /// it left behind ([`MemoryStage::set_replies_pending`]). The reply
-    /// network's event-driven skip and the fast-forward probe read it:
-    /// while `false` and the reply crossbar is empty, the whole
+    /// times. Replies are only *created* by live steps inside
+    /// [`MemoryStage::step_cycle`] (the L2 front half releases fill
+    /// waiters and drains hit delays there; a lagging partition holds no
+    /// MEM work, so replaying its visits creates none), which set the
+    /// flag, and only *removed* by the reply network, which writes back
+    /// what it left behind ([`MemoryStage::set_replies_pending`]). The
+    /// reply network's event-driven skip and the fast-forward probe read
+    /// it: while `false` and the reply crossbar is empty, the whole
     /// reply/completion tail of the cycle provably has nothing to move.
     replies_pending: bool,
-    /// The next DRAM tick no stage visit (live or recorded) covers yet.
-    /// Normally the clock coupler's next tick; while the production side
-    /// is deferred (DESIGN.md §4k) individual *partitions* lag behind it
-    /// and catch up — exactly, via
-    /// [`crate::partition::Partition::replay_spans`] — before anything
-    /// can observe their state.
-    dram_upto: Cycle,
+    /// The simulation's time base, at the first GPU cycle the stage has
+    /// not visited. Every partition not lagging is current with it.
+    clock: ClockCoupler,
     /// The address decoding every partition reads, also lent to the
     /// issue stage ([`MemoryStage::mapper`]).
     mapper: AddressMapper,
-    /// Stage visits skipped by deferral, in order: `(gpu_cycle,
-    /// first_dram_tick, dram_ticks)` exactly as [`MemoryStage::step_cycle_all`]
-    /// would have received them. Replayed per partition on demand; the
-    /// prefix every active partition has replayed is dropped (see
-    /// `compact_deferred`), so the list holds at most the largest lag.
-    deferred: Vec<(Cycle, Cycle, u64)>,
-    /// Per-partition index of the first entry in `deferred` not yet
-    /// replayed on that partition. `synced[c] == deferred.len()` means
-    /// partition `c` is current.
-    synced: Vec<usize>,
-    /// Per-partition cached deferral bound, valid while `!stale[c]`:
-    /// every stage visit whose window ends at or before `horizon[c]` is
-    /// provably reproducible later on partition `c`. `0` means the
-    /// partition needs live service. Invalidated per partition by
-    /// anything that can change its horizon: stepping, replay, or a
-    /// [`MemoryStage::partition_mut`] access (the crossbar eject path).
-    horizon: Vec<Cycle>,
-    /// Which entries of `horizon` need recomputation.
-    stale: Vec<bool>,
-    /// Per-partition replay batches: one per catch-up that replayed at
-    /// least one deferred stage visit on an active partition.
-    replay_batches: u64,
-    /// Deferred stage visits replayed, summed over all batches. Divided
-    /// by `replay_batches` this is the mean deferral window (DESIGN.md
-    /// §4k).
-    replayed_visits: u64,
 }
 
 impl MemoryStage {
     /// Builds one partition per DRAM channel, each with its own policy
-    /// instance, and the address mapper for `cfg`'s DRAM backend.
+    /// instance, the address mapper for `cfg`'s DRAM backend, and the
+    /// clock coupling at cycle zero.
     pub fn new(cfg: &SystemConfig, policy: PolicyKind) -> Self {
-        let channels = cfg.dram.channels;
+        let (clock_num, clock_den) = cfg.dram_clock_ratio();
         MemoryStage {
-            partitions: (0..channels)
+            partitions: (0..cfg.dram.channels)
                 .map(|c| Partition::new(c, cfg, policy.build()))
                 .collect(),
             active: ActiveSet::default(),
             replies_pending: false,
-            dram_upto: 0,
+            clock: ClockCoupler::new(clock_num, clock_den),
             // Decoder construction goes through the backend registry: the
             // pipeline stages service whatever substrate
             // `cfg.dram_backend` names without matching on the kind
             // themselves.
             mapper: pimsim_dram::backend::mapper_for(cfg),
-            deferred: Vec::new(),
-            synced: vec![0; channels],
-            horizon: vec![0; channels],
-            stale: vec![true; channels],
-            replay_batches: 0,
-            replayed_visits: 0,
         }
     }
 
@@ -147,86 +120,43 @@ impl MemoryStage {
         &self.mapper
     }
 
+    /// The clock at the first GPU cycle the stage has not visited.
+    pub(crate) fn clock(&self) -> &ClockCoupler {
+        &self.clock
+    }
+
     /// The partition serving channel `c` (shared; leaves the active set
-    /// as it is).
+    /// as it is). It may lag the stage; `MemoryStage::sync` first for its
+    /// current state.
     pub fn get(&self, c: usize) -> &Partition {
         &self.partitions[c]
     }
 
-    /// Iterates all partitions (for stats).
+    /// Iterates all partitions (for stats; `MemoryStage::sync` first).
     pub fn iter(&self) -> impl Iterator<Item = &Partition> {
         self.partitions.iter()
     }
 
-    /// Mutable access to the partition serving channel `c`. First replays
-    /// any stage visits deferral skipped on this partition — so callers
-    /// (the crossbar eject path, test drivers) always observe the exact
-    /// live state, and an arrival can never land *inside* a deferred
-    /// span: the partition is caught up before the new work is handed
-    /// over. Also admits the partition to the active set and marks its
-    /// cached bulk horizon stale, since the caller may hand it work or
-    /// mutate state the horizon was derived from.
+    /// Mutable access to the partition serving channel `c`. First catches
+    /// it up on any visits it lagged through — so callers (the crossbar
+    /// eject path, the reply network, test drivers) always observe the
+    /// exact live state, and an arrival can never land *inside* a lagged
+    /// span: a current partition reads its bulk horizon afresh at its
+    /// next visit. Also admits the partition to the active set, since
+    /// the caller may hand it work.
     pub fn partition_mut(&mut self, c: usize) -> &mut Partition {
-        self.catch_up_partition(c);
+        let p = &mut self.partitions[c];
+        p.catch_up(&self.clock, &self.mapper);
         self.active.insert(c);
-        self.stale[c] = true;
-        &mut self.partitions[c]
+        p
     }
 
-    /// Removes channel `c` from the active set if the visit that just
-    /// stepped or replayed it left it idle at the service point.
-    fn leave_if_idle(&mut self, c: usize) {
-        if self.get(c).is_idle(self.dram_upto) {
-            self.active.remove(c);
-        }
-    }
-
-    /// Replays partition `c`'s share of the deferred stage visits, if
-    /// any. Cheap no-op when the partition is current.
-    fn catch_up_partition(&mut self, c: usize) {
-        let n = self.deferred.len();
-        let start = self.synced[c];
-        if start == n {
-            return;
-        }
-        self.synced[c] = n;
-        self.stale[c] = true;
-        if !self.active.contains(c) {
-            // An inactive partition holds no work anywhere; every
-            // deferred visit is a provable no-op on it.
-            return;
-        }
-        self.replay_batches += 1;
-        self.replayed_visits += (n - start) as u64;
-        self.partitions[c].replay_spans(&self.deferred[start..n], &self.mapper);
-        self.leave_if_idle(c);
-    }
-
-    /// Cumulative replay counters: `(replay_batches, replayed_visits)`.
+    /// Cumulative catch-up counters summed over partitions:
+    /// `(replay_batches, replayed_visits)`.
     pub fn replay_counters(&self) -> (u64, u64) {
-        (self.replay_batches, self.replayed_visits)
-    }
-
-    /// Drops the prefix of the deferred history that every active
-    /// partition has already replayed, so the list holds only the
-    /// largest remaining lag. Inactive partitions have nothing to replay
-    /// (`partition_mut` syncs one before admitting it), so their sync
-    /// points do not hold history back.
-    fn compact_deferred(&mut self) {
-        let n = self.deferred.len();
-        let done = self
-            .active
-            .iter()
-            .map(|c| self.synced[c])
-            .min()
-            .unwrap_or(n);
-        if done == 0 {
-            return;
-        }
-        self.deferred.drain(..done);
-        for s in &mut self.synced {
-            *s = s.saturating_sub(done);
-        }
+        self.iter()
+            .map(Partition::replay_counters)
+            .fold((0, 0), |(b, v), (pb, pv)| (b + pb, v + pv))
     }
 
     /// Number of channels (= partitions).
@@ -262,227 +192,122 @@ impl MemoryStage {
     /// timestamp stay invisible until DRAM time reaches them, so
     /// delivery order and cycle match the eager per-tick path exactly.
     ///
-    /// Ack production is *pull-driven* (DESIGN.md §4k): a partition
-    /// lagging behind the stage may not yet have produced acks that are
-    /// already due, so a lagging partition replays its share of the
-    /// deferred visits here, immediately before the read. The replay
+    /// Ack production is *pull-driven* (DESIGN.md §4k): a lagging
+    /// partition may not yet have produced acks that are already due, so
+    /// it is caught up here, immediately before the read. The replay
     /// runs the exact live schedule, so the wires hold precisely the
     /// acks the eager path would already hold and the drained set is
     /// identical. This makes delivery demand — not per-issue completion
     /// latency — the cadence at which busy partitions sync.
     ///
     /// The pull is skipped when no *unproduced* ack can be due yet:
-    /// every ack an unreplayed visit can produce comes from an issue at
-    /// or after the partition's first unreplayed DRAM tick `f`, and
+    /// every ack a lagged visit can produce comes from an issue at or
+    /// after the partition's first unapplied DRAM tick `f`, and
     /// plan-covered issues deposited their acks at retire time (already
-    /// harvested into the wire at the last sync), so the earliest
+    /// harvested into the wire before the lag began), so the earliest
     /// unproduced due is bounded below by
     /// [`pimsim_core::MemoryController::arrival_bound`]`(f)`. When that
     /// bound clears `limit`, everything due is already in the wire and
-    /// the lag keeps accumulating — this is what keeps consecutive
-    /// delivery cycles (a throttled kernel draining its credit cap) from
-    /// shattering windows into single-visit replays.
+    /// the lag keeps growing — this is what keeps consecutive delivery
+    /// cycles (a throttled kernel draining its credit cap) from
+    /// shattering lags into single-visit replays.
     pub fn drain_acks_into(&mut self, limit: Cycle, out: &mut Vec<Request>) {
-        let n = self.deferred.len();
-        for c in self.active.iter() {
-            let start = self.synced[c];
-            if start == n {
-                continue;
-            }
-            let f = self.deferred[start].1;
-            if self.get(c).mc.arrival_bound(f) > limit {
-                continue;
-            }
-            self.catch_up_partition(c);
-        }
-        self.compact_deferred();
         // Acks pending keep a partition out of idle, so the active set
         // covers every non-empty schedule.
         for c in self.active.iter() {
             let p = &mut self.partitions[c];
+            let may_owe = p
+                .lag_start()
+                .is_some_and(|f| p.mc.arrival_bound(f) <= limit);
+            if may_owe {
+                p.catch_up(&self.clock, &self.mapper);
+            }
             if p.acks().has_due(limit) {
                 p.acks_mut().drain_due_into(limit, out);
             }
         }
     }
 
-    /// One full GPU cycle of memory work: the L2 front halves at GPU
-    /// cycle `now`, then `ticks` DRAM ticks starting at `first_dram`.
-    ///
-    /// The loop steps partition-major: each partition runs its whole
-    /// cycle (L2 step plus its DRAM ticks) before the next partition
-    /// starts. Partitions share nothing within the stage, so the
-    /// interleaving cannot matter: per-partition state, and therefore
-    /// every downstream observable, is bit-identical to the historical
-    /// tick-major loop.
-    pub fn step_cycle_all(&mut self, now: Cycle, first_dram: Cycle, ticks: u64) {
-        // Stage visits skipped by deferral are replayed first, inside the
-        // same per-partition visit: replays run the exact live code
-        // paths, so replay-then-step is exactly the eager order.
-        debug_assert!(self.dram_upto <= first_dram, "DRAM service point ran ahead");
-        self.dram_upto = first_dram + ticks;
-        // Only active partitions are visited; each leaves the set if its
-        // visit ends idle. Inactive partitions hold no replies, so the
-        // visited ones decide the reply summary.
-        let n = self.deferred.len();
-        let mut replies = false;
+    /// One GPU cycle of memory work — the L2 front halves, then every
+    /// DRAM tick the cycle fires — and the stage clock's advance past
+    /// it. Each active partition lags through the visit or steps live on
+    /// its own ([`Partition::visit`]); they share nothing within the
+    /// stage, so that is exact. Returns whether any partition stepped
+    /// live (the `ticks_memory` count).
+    pub(crate) fn step_cycle(&mut self) -> bool {
+        let at = self.clock.clone();
+        self.clock.accrue_gpu_cycle();
+        let (first, ticks) = self.clock.take_dram_span();
+        self.clock.finish_gpu_cycle();
+        let mut live = false;
         for c in self.active.iter() {
-            let start = self.synced[c];
-            self.stale[c] = true;
-            if start < n {
-                self.replay_batches += 1;
-                self.replayed_visits += (n - start) as u64;
-            }
             let p = &mut self.partitions[c];
-            p.replay_spans(&self.deferred[start..n], &self.mapper);
-            p.step_l2(now);
-            p.step_dram_span(first_dram, ticks, &self.mapper);
-            replies |= !p.reply().is_empty();
-            self.leave_if_idle(c);
+            match p.visit(&at, ticks, &self.mapper) {
+                Visit::Lagged => {}
+                Visit::Idle => self.active.remove(c),
+                Visit::Live => {
+                    live = true;
+                    self.replies_pending |= !p.reply().is_empty();
+                    // A partition leaves the set once a visit that
+                    // stepped it leaves it idle.
+                    if p.is_idle(first + ticks) {
+                        self.active.remove(c);
+                    }
+                }
+            }
         }
-        self.deferred.clear();
-        self.synced.fill(0);
-        self.replies_pending = replies;
+        live
     }
 
-    /// Replays the DRAM-tick span `[first, first + ticks)` on every
-    /// active partition, advancing each controller's stats integrals
-    /// exactly as per-tick stepping would have.
+    /// Jumps the stage clock to GPU cycle `target`, replaying the DRAM
+    /// ticks the jump covers on every active partition and advancing
+    /// each controller's stats integrals exactly as per-tick stepping
+    /// would have.
     ///
-    /// The fast-forward path calls this after jumping the clocks up to
-    /// (but never past) the DRAM bound of `MemoryStage::horizon`: no
-    /// partition answered a horizon inside the span, which it only does
-    /// with its ports and wires empty and its controller idle or inside
-    /// a stall window covering the span — so the per-partition replay is
-    /// the O(1) [`pimsim_core::MemoryController::quiet_replay_span`]
-    /// path, or nothing for an idle controller
+    /// The fast-forward path calls this after a [`MemoryStage::horizon`]
+    /// walk that caught every active partition up, with `target` at
+    /// most the DRAM bound it returned: no partition answered a horizon
+    /// inside the span, which it only does with its ports and wires
+    /// empty and its controller idle or inside a stall window covering
+    /// the span — so the per-partition replay is the O(1)
+    /// [`pimsim_core::MemoryController::quiet_replay_span`] path, or
+    /// nothing for an idle controller
     /// ([`crate::partition::Partition::step_dram_span`] falls back to
     /// exact per-tick stepping where the controller goes idle
     /// mid-span). The GPU-clock L2 steps of the span are no-ops: the
     /// jump also stops at the L2 release bound.
-    pub fn quiet_replay_all(&mut self, first: Cycle, ticks: u64) {
-        if ticks == 0 {
+    pub(crate) fn quiet_replay_all(&mut self, target: Cycle) {
+        let first = self.clock.dram_now();
+        self.clock.jump_to(target);
+        let end = self.clock.dram_now();
+        if end == first {
             return;
         }
-        debug_assert!(
-            self.dram_upto == first && self.deferred.is_empty(),
-            "bulk replay must start at the service point (catch up first)"
-        );
-        self.dram_upto = first + ticks;
         for c in self.active.iter() {
-            self.stale[c] = true;
-            self.partitions[c].step_dram_span(first, ticks, &self.mapper);
-            self.leave_if_idle(c);
+            let p = &mut self.partitions[c];
+            debug_assert!(
+                p.lag_start().is_none(),
+                "bulk replay of a lagging partition"
+            );
+            p.step_dram_span(first, end - first, &self.mapper);
+            if p.is_idle(end) {
+                self.active.remove(c);
+            }
         }
     }
 
-    /// Records one stage visit — GPU cycle `now` with DRAM ticks
-    /// `[first_dram, first_dram + ticks)` — as deferred instead of
-    /// stepping it. Only legal right after
-    /// [`MemoryStage::can_defer_through`]`(first_dram + ticks)` returned
-    /// `true`: every partition's cached horizon covers the window, so
-    /// the visit is replayable with bit-identical state and nothing
-    /// observable (a reply, an ack falling due, a fill) can surface
-    /// inside it. Costs one walk of the active set, which also drops the
-    /// history every partition has replayed — this is the production
-    /// side's event-driven payoff (DESIGN.md §4k).
-    pub fn defer_cycle(&mut self, now: Cycle, first_dram: Cycle, ticks: u64) {
-        debug_assert!(
-            self.dram_upto == first_dram,
-            "deferred visit must extend the recorded history"
-        );
-        self.compact_deferred();
-        self.deferred.push((now, first_dram, ticks));
-        self.dram_upto = first_dram + ticks;
-    }
-
-    /// Whether the stage visit ending at DRAM tick `end` — its GPU-cycle
-    /// L2 front halves included — can be deferred and replayed later with
-    /// bit-identical state and no observable surfacing inside the window
-    /// (DESIGN.md §4k): every active partition must report a bulk
-    /// horizon at or beyond `end`. Horizons are cached per partition
-    /// until something can change them (stepping, replay, or a crossbar
-    /// eject through [`MemoryStage::partition_mut`]); a deferral itself
-    /// mutates nothing, so back-to-back quiet cycles re-check against
-    /// cached values only.
-    pub fn can_defer_through(&mut self, end: Cycle) -> bool {
+    /// Catches every lagging partition up to the stage clock. Run before
+    /// partitions are inspected out of band — end-of-run stats
+    /// harvesting, the public `Simulator::step` — so no observer sees a
+    /// partition whose lagged visits are unaccounted.
+    pub(crate) fn sync(&mut self) {
         for c in self.active.iter() {
-            if self.stale[c] {
-                // The horizon is taken from this partition's own synced
-                // position: its state has not advanced past that point.
-                let from = match self.deferred.get(self.synced[c]) {
-                    Some(&(_, first, _)) => first,
-                    None => self.dram_upto,
-                };
-                self.horizon[c] = self.partitions[c].bulk_horizon(from).unwrap_or(0);
-                self.stale[c] = false;
-            }
-            // `0` refuses outright: a partition needing live service
-            // needs its GPU cycle even when the span carries zero DRAM
-            // ticks.
-            if self.horizon[c] == 0 || end > self.horizon[c] {
-                return false;
-            }
+            self.partitions[c].catch_up(&self.clock, &self.mapper);
         }
-        true
-    }
-
-    /// Second-chance deferral check: catches up any *lagging* partition
-    /// whose cached horizon refuses the window ending at `end`, then
-    /// re-evaluates. A partition that lags the stage reports a horizon
-    /// frozen at its last sync point — typically a burst plan that has
-    /// long since been succeeded by the next one — so a refusal from it
-    /// says nothing about the live schedule. Replaying just that
-    /// partition's visits (through the exact live code paths) forms the
-    /// successor plan and usually re-opens the window, keeping one stale
-    /// horizon from ending deferral for all partitions (DESIGN.md §4k).
-    ///
-    /// Returns `true` when every partition's refreshed horizon covers
-    /// `end`; `false` means some *current* partition genuinely needs its
-    /// visit stepped live.
-    pub fn refresh_lagging_through(&mut self, end: Cycle) -> bool {
-        let n = self.deferred.len();
-        for c in self.active.iter() {
-            if self.stale[c] {
-                let from = match self.deferred.get(self.synced[c]) {
-                    Some(&(_, first, _)) => first,
-                    None => self.dram_upto,
-                };
-                self.horizon[c] = self.partitions[c].bulk_horizon(from).unwrap_or(0);
-                self.stale[c] = false;
-            }
-            if (self.horizon[c] == 0 || end > self.horizon[c]) && self.synced[c] < n {
-                self.catch_up_partition(c);
-                self.horizon[c] = self.partitions[c].bulk_horizon(self.dram_upto).unwrap_or(0);
-                self.stale[c] = false;
-            }
-            if self.horizon[c] == 0 || end > self.horizon[c] {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// Replays every deferred stage visit on every partition, leaving all
-    /// of them current through `target` (which must equal the recorded
-    /// history's end — the stage never lags the clock, only partitions
-    /// lag the stage). Must run before anything probes or mutates
-    /// per-partition state out of band — the fast-forward probe,
-    /// end-of-run stats harvesting — so no observer ever sees a partition
-    /// whose deferred visits have not been accounted.
-    pub fn catch_up_to(&mut self, target: Cycle) {
-        debug_assert!(
-            self.deferred.is_empty() || target == self.dram_upto,
-            "catch-up target must be the recorded history's end"
-        );
-        for c in self.active.iter() {
-            self.catch_up_partition(c);
-        }
-        self.compact_deferred();
     }
 
     /// Whether any partition holds a PIM ack. Exact without catching up
-    /// lagging partitions: replaying deferred visits only deposits acks,
+    /// lagging partitions: replaying lagged visits only deposits acks,
     /// and only the completion stage drains them, so a partition holding
     /// one now still holds it once current — and is due now
     /// ([`Partition::horizon`]).
@@ -490,15 +315,16 @@ impl MemoryStage {
         self.active.iter().any(|c| !self.get(c).acks().is_empty())
     }
 
-    /// When the stage next needs a live visit, at GPU cycle `gpu_now` and
-    /// DRAM cycle `dram_now`: the earliest [`Partition::horizon`] in each
-    /// clock domain, `None` in both while every partition is idle. One
-    /// walk of the active set (every partition outside it is idle). The
-    /// walk stops at the first partition due at `gpu_now` and returns
-    /// that partition's horizon, since nothing can be skipped then. Read
-    /// it after [`MemoryStage::catch_up_to`], so every partition is
-    /// current.
-    pub(crate) fn horizon(&self, gpu_now: Cycle, dram_now: Cycle) -> Horizon {
+    /// When the stage next needs a live visit, at the stage clock: the
+    /// earliest [`Partition::horizon`] in each clock domain, `None` in
+    /// both while every partition is idle. One walk of the active set
+    /// (every partition outside it is idle), catching each partition up
+    /// as it reads it. The walk stops at the first partition due at the
+    /// current GPU cycle and returns that partition's horizon, since
+    /// nothing can be skipped then; the partitions after it keep their
+    /// lag.
+    pub(crate) fn horizon(&mut self) -> Horizon {
+        let (gpu_now, dram_now) = (self.clock.gpu_now(), self.clock.dram_now());
         debug_assert!(
             (0..self.channel_count())
                 .all(|c| self.active.contains(c) || self.get(c).is_idle(dram_now)),
@@ -506,7 +332,9 @@ impl MemoryStage {
         );
         let mut h = Horizon::default();
         for c in self.active.iter() {
-            let p = self.get(c).horizon(gpu_now, dram_now);
+            let p = &mut self.partitions[c];
+            p.catch_up(&self.clock, &self.mapper);
+            let p = p.horizon(gpu_now, dram_now);
             if p.l2_release == Some(gpu_now) {
                 return p;
             }
@@ -562,6 +390,12 @@ mod tests {
         )
     }
 
+    /// The last DRAM tick the stage has serviced — the simulator's ack
+    /// drain limit.
+    fn serviced(m: &MemoryStage) -> Cycle {
+        m.clock().dram_now().saturating_sub(1)
+    }
+
     #[test]
     fn active_set_drops_drained_partitions_and_readmits_on_work() {
         let cfg = SystemConfig::default();
@@ -573,19 +407,19 @@ mod tests {
             ActiveSet::default(),
             "a fresh stage holds no work"
         );
-        assert_eq!(m.horizon(0, 0), Horizon::default());
+        assert_eq!(m.horizon(), Horizon::default());
 
         // `partition_mut` admits exactly the partition it hands out...
         let c = channel_of(&m, 0);
         assert!(m.partition_mut(c).try_accept(0, mem_read(1, 0)));
         assert_eq!(m.active().iter().collect::<Vec<_>>(), [c]);
-        let due = m.horizon(7, 7);
-        assert_eq!((due.l2_release, due.dram), (Some(7), Some(7)));
+        let due = m.horizon();
+        assert_eq!((due.l2_release, due.dram), (Some(0), Some(0)));
         // ...and the visit that finds it drained removes it again.
         let mut now = 0;
         while m.active().contains(c) {
             assert!(now < 400, "the read never drained");
-            m.step_cycle_all(now, now, 1);
+            m.step_cycle();
             let ctx = ReplyNetCtx {
                 memory: &mut m,
                 delivered: &mut delivered,
@@ -595,14 +429,13 @@ mod tests {
         }
         assert_eq!(delivered.len(), 1);
         assert_eq!(m.active(), ActiveSet::default());
-        assert_eq!(m.horizon(now, now), Horizon::default());
+        assert_eq!(m.horizon(), Horizon::default());
 
         // An eject through `partition_mut` admits an idle partition
-        // without replaying the visits deferred while it was idle...
+        // without replaying the visits it sat out...
         let d = (c + 1) % m.channel_count();
         for _ in 0..3 {
-            assert!(m.can_defer_through(now + 1), "an empty stage defers");
-            m.defer_cycle(now, now, 1);
+            assert!(!m.step_cycle(), "an empty stage steps nothing live");
             now += 1;
         }
         let replays = m.replay_counters();
@@ -617,8 +450,8 @@ mod tests {
         let mut acks = Vec::new();
         while m.active().contains(d) {
             assert!(now < 800, "the PIM op never drained");
-            m.step_cycle_all(now, now, 1);
-            m.drain_acks_into(now, &mut acks);
+            m.step_cycle();
+            m.drain_acks_into(serviced(&m), &mut acks);
             now += 1;
         }
         assert_eq!(acks.len(), 1);
@@ -626,57 +459,71 @@ mod tests {
     }
 
     #[test]
-    fn deferred_history_keeps_only_the_largest_lag() {
-        // Pure-PIM partitions defer indefinitely (their acks are pulled
-        // at delivery, so no production deadline bounds the window).
-        // Catching them up through `partition_mut` at staggered points
-        // leaves each lagging by a different amount; the history must
-        // shrink to the largest remaining lag instead of waiting for
-        // every partition to be current at once.
-        let mut m = stage_with(&SystemConfig::default());
-        for c in 0..m.channel_count() {
-            m.partition_mut(c).mc.set_ack_batching(true);
+    fn partitions_lag_independently_and_match_the_eager_twin() {
+        // In one stage, a partition fed a MEM read before every visit
+        // must step live each time, while a pure-PIM partition lags
+        // through the same visits (its acks are pulled at delivery). An
+        // eager twin — ack batching off, so no partition ever lags — must
+        // end with the same controller stats and drain every ack at the
+        // same cycle.
+        const VISITS: u64 = 120;
+        let cfg = SystemConfig::default();
+        let (mut lazy, mut eager) = (stage_with(&cfg), stage_with(&cfg));
+        for c in 0..lazy.channel_count() {
+            lazy.partition_mut(c).mc.set_ack_batching(true);
         }
-        // One visit drops the (idle) partitions the loop above admitted.
-        m.step_cycle_all(0, 0, 1);
-        assert_eq!(m.active(), ActiveSet::default());
-        let chans = [3, 5, 9];
-        for c in chans {
-            assert!(m.partition_mut(c).try_accept(0, pim_load(c as u64, c)));
-        }
-        // Twelve deferred visits; channel 3 is caught up after visit 4,
-        // channel 5 after visit 9 and channel 9 after visit 12, leaving
-        // them 8, 3 and 0 visits behind.
-        for now in 1..=12u64 {
-            assert!(m.can_defer_through(now + 1), "pure-PIM work defers");
-            m.defer_cycle(now, now, 1);
-            let caught_up = match now {
-                4 => Some(3),
-                9 => Some(5),
-                12 => Some(9),
-                _ => None,
-            };
-            if let Some(c) = caught_up {
-                m.partition_mut(c);
+        let cm = channel_of(&lazy, 0);
+        let cp = (cm + 1) % lazy.channel_count();
+        let reads: Vec<u64> = (0..)
+            .map(|i| i * 128)
+            .filter(|&a| channel_of(&lazy, a) == cm)
+            .take(VISITS as usize)
+            .collect();
+        let mut logs = [Vec::new(), Vec::new()];
+        for (m, log) in [&mut lazy, &mut eager].into_iter().zip(&mut logs) {
+            let is_lazy = m.get(cp).mc.ack_batching();
+            for id in 0..4 {
+                assert!(m.partition_mut(cp).try_accept(0, pim_load(id, cp)));
             }
+            for (i, &addr) in reads.iter().enumerate() {
+                let _ = m
+                    .partition_mut(cm)
+                    .try_accept(0, mem_read(100 + i as u64, addr));
+                assert!(m.step_cycle(), "the MEM partition steps live");
+                assert!(m.get(cm).lag_start().is_none());
+                assert_eq!(m.get(cp).lag_start().is_some(), is_lazy);
+            }
+            // The lag replays only when something catches it up: here an
+            // eject of more PIM work.
+            let lagged = if is_lazy { (1, VISITS) } else { (0, 0) };
+            assert_eq!(m.get(cp).replay_counters(), (0, 0));
+            for id in 4..8 {
+                assert!(m.partition_mut(cp).try_accept(0, pim_load(id, cp)));
+            }
+            assert_eq!(m.get(cp).replay_counters(), lagged);
+            let mut acks = Vec::new();
+            for now in VISITS..VISITS + 2_000 {
+                m.step_cycle();
+                m.drain_acks_into(serviced(m), &mut acks);
+                log.extend(acks.drain(..).map(|r| (now, r.id)));
+            }
+            m.sync();
         }
-        // A drain too early to owe any ack pulls nothing and keeps every
-        // partition active, but compacts the history down to the largest
-        // lag.
-        let mut acks = Vec::new();
-        m.drain_acks_into(1, &mut acks);
-        assert!(acks.is_empty());
-        assert_eq!(m.active().iter().collect::<Vec<_>>(), chans);
-        assert_eq!(m.deferred.len(), 8);
-        // Catching everyone up empties it.
-        m.catch_up_to(13);
-        assert!(m.deferred.is_empty());
+        assert_eq!(logs[0].len(), 8, "every PIM op must be acked");
+        assert_eq!(logs[0], logs[1], "ack drain cycles");
+        for c in [cm, cp] {
+            assert_eq!(
+                lazy.get(c).mc.stats(),
+                eager.get(c).mc.stats(),
+                "channel {c}"
+            );
+        }
     }
 
     #[test]
     fn replies_pending_tracks_wire_contents() {
         // A two-entry reply input queue backs replies up in the wires, so
-        // drains leave some behind and the memory stage defers visits
+        // drains leave some behind and the partition lags through visits
         // while they wait — the window in which a summary recomputed
         // only by stepping would go stale.
         let mut cfg = SystemConfig::default();
@@ -694,21 +541,16 @@ mod tests {
         for id in 0..8 {
             assert!(m.partition_mut(c).try_accept(0, mem_read(id, 0)));
         }
-        let (mut saw_pending, mut deferred_pending) = (false, false);
+        let (mut saw_pending, mut lagged_pending) = (false, false);
         for now in 0..400u64 {
-            let deferred = m.can_defer_through(now + 1);
-            if deferred {
-                m.defer_cycle(now, now, 1);
-            } else {
-                m.step_cycle_all(now, now, 1);
-            }
+            let live = m.step_cycle();
             assert_eq!(
                 m.replies_pending,
                 wires(&m),
                 "flag must match wires after a memory visit \
-                 (now={now}, deferred={deferred})"
+                 (now={now}, live={live})"
             );
-            deferred_pending |= deferred && m.replies_pending;
+            lagged_pending |= !live && m.replies_pending;
             saw_pending |= m.replies_pending;
             if m.replies_pending() || net.has_traffic() {
                 let ctx = ReplyNetCtx {
@@ -723,11 +565,11 @@ mod tests {
                 );
             }
         }
-        m.catch_up_to(400);
+        m.sync();
         assert!(saw_pending, "the reads must have produced replies");
         assert!(
-            deferred_pending,
-            "some visit must have been deferred with replies waiting"
+            lagged_pending,
+            "some visit must have been lagged through with replies waiting"
         );
         assert_eq!(delivered.len(), 8);
         assert!(!m.replies_pending);

@@ -4,7 +4,7 @@
 //! The crossbar arbitrates live on every stepped cycle, and each grant
 //! hands off through [`MemoryStage::partition_mut`] →
 //! [`crate::partition::Partition::try_accept`]: the partition is caught
-//! up on any memory visits the stage deferred before the flit lands, so
+//! up on any memory visits it lagged through before the flit lands, so
 //! an arrival never falls inside an unaccounted window.
 
 use pimsim_component::Component;

@@ -44,7 +44,7 @@ impl Simulator {
                 self.kernels.iter().any(|k| k.runs >= cut)
                     && self.kernels.iter().any(|k| k.first_run_cycles.is_none())
             });
-            if self.clock.gpu_now() >= max_gpu_cycles || starved {
+            if self.gpu_cycles() >= max_gpu_cycles || starved {
                 let progress = self
                     .kernels
                     .iter()
@@ -58,8 +58,8 @@ impl Simulator {
                     })
                     .collect::<Vec<_>>()
                     .join(", ");
-                // Account any deferred production before handing control
-                // (and the stats surface) back to the caller.
+                // Account every lagged visit before handing control (and
+                // the stats surface) back to the caller.
                 self.sync_memory();
                 return Err(CycleBudgetExceeded {
                     max_gpu_cycles,
@@ -71,10 +71,10 @@ impl Simulator {
                 // `max_gpu_cycles` must error exactly like lock-step would.
                 continue;
             }
-            self.step();
+            self.advance();
         }
         self.sync_memory();
-        Ok(self.clock.gpu_now())
+        Ok(self.gpu_cycles())
     }
 
     /// Folds one per-partition stats bundle across all channels — the
@@ -133,7 +133,7 @@ impl Simulator {
         pimsim_dram::channel_energy(
             energy,
             &self.merged_channel_stats(),
-            self.clock.dram_now() * self.memory.channel_count() as u64,
+            self.dram_cycles() * self.memory.channel_count() as u64,
             self.cfg.dram.banks as u32,
         )
     }

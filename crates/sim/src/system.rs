@@ -21,8 +21,8 @@ use pimsim_types::{Cycle, SystemConfig};
 
 use crate::partition::Partition;
 use crate::pipeline::{
-    check_kernel_completion, ClockCoupler, CompletionStage, Component, IssueCtx, IssueStage,
-    MemoryStage, ReplyNet, ReplyNetCtx, RequestNet,
+    check_kernel_completion, CompletionStage, Component, IssueCtx, IssueStage, MemoryStage,
+    ReplyNet, ReplyNetCtx, RequestNet,
 };
 
 pub use crate::pipeline::{CycleBudgetExceeded, MountedKernel};
@@ -112,7 +112,6 @@ pub struct Simulator {
     pub(crate) memory: MemoryStage,
     reply_net: ReplyNet,
     completion: CompletionStage,
-    pub(crate) clock: ClockCoupler,
     pub(crate) kernels: Vec<MountedKernel>,
     /// Event-driven idle-span skipping (on by default; see
     /// [`Simulator::set_fast_forward`]).
@@ -142,14 +141,12 @@ impl Simulator {
     /// Panics if `cfg` fails validation.
     pub fn new(cfg: SystemConfig, policy: pimsim_core::PolicyKind) -> Self {
         cfg.validate().expect("invalid system configuration");
-        let (clock_num, clock_den) = cfg.dram_clock_ratio();
         let mut sim = Simulator {
             issue: IssueStage::new(cfg.gpu.num_sms, cfg.gpu.max_outstanding_mem_per_sm),
             request_net: RequestNet::new(&cfg),
             memory: MemoryStage::new(&cfg, policy),
             reply_net: ReplyNet::new(&cfg),
             completion: CompletionStage::new(),
-            clock: ClockCoupler::new(clock_num, clock_den),
             kernels: Vec::new(),
             fast_forward: true,
             event_delivery: true,
@@ -232,13 +229,14 @@ impl Simulator {
     /// Enables or disables retire-time ack batching (on by default).
     /// With it on, each controller emits a burst plan's completions as
     /// one timestamped batch at retire time, the partitions hold them in
-    /// a time-ordered schedule, and the memory stage defers whole plan /
-    /// stall windows instead of ticking through them — each ack still
+    /// a time-ordered schedule, and a partition lags through whole plan
+    /// / stall windows instead of ticking through them — each ack still
     /// becomes *observable* at its exact analytic cycle (DESIGN.md §4k).
     /// With it off, every completion is produced by a per-tick
-    /// controller step — the eager oracle. Both modes produce
-    /// bit-identical observables (cycle counts, McStats, goldens); only
-    /// the step mix's tick counters differ. Toggle before running.
+    /// controller step and no partition ever lags — the eager oracle.
+    /// Both modes produce bit-identical observables (cycle counts,
+    /// McStats, goldens); only the step mix's tick counters differ.
+    /// Toggle before running.
     pub fn set_ack_batching(&mut self, on: bool) {
         self.ack_batching = on;
         for c in 0..self.memory.channel_count() {
@@ -251,13 +249,13 @@ impl Simulator {
         self.ack_batching
     }
 
-    /// Replays any deferred memory-stage production up to the current
-    /// DRAM service point. Must run before stats are harvested or
-    /// partitions are inspected out of band — the run loop calls it on
-    /// both exits so end-of-run observers never see a partition whose
-    /// deferred span is unaccounted.
+    /// Catches every lagging partition up to the memory stage's clock.
+    /// Must run before stats are harvested or partitions are inspected
+    /// out of band — the run loop calls it on both exits and the public
+    /// [`Simulator::step`] after every cycle, so no observer sees a
+    /// partition whose lagged visits are unaccounted.
     pub(crate) fn sync_memory(&mut self) {
-        self.memory.catch_up_to(self.clock.dram_now());
+        self.memory.sync();
     }
 
     /// `(jumps taken, GPU cycles covered by jumps)` — how much of the run
@@ -298,7 +296,7 @@ impl Simulator {
             sms,
             is_pim,
             restart,
-            run_started: self.clock.gpu_now(),
+            run_started: self.gpu_cycles(),
             first_run_cycles: None,
             runs: 0,
             icnt_injections: 0,
@@ -329,12 +327,12 @@ impl Simulator {
 
     /// GPU cycles elapsed.
     pub fn gpu_cycles(&self) -> u64 {
-        self.clock.gpu_now()
+        self.memory.clock().gpu_now()
     }
 
     /// DRAM cycles elapsed.
     pub fn dram_cycles(&self) -> u64 {
-        self.clock.dram_now()
+        self.memory.clock().dram_now()
     }
 
     /// The system configuration.
@@ -360,9 +358,21 @@ impl Simulator {
     /// With event-driven delivery on (the default), the PIM-ack and
     /// reply stages only run on cycles where a completion can actually
     /// move or be observed; see [`Simulator::set_event_delivery`] for the
-    /// contract and the soundness comments inline below.
+    /// contract and the soundness comments inline in the cycle's body.
+    ///
+    /// Every partition is current afterwards, so [`Simulator::partition`],
+    /// [`Simulator::partitions`] and the merged stats read the state the
+    /// eager simulator would show.
     pub fn step(&mut self) {
-        let now = self.clock.gpu_now();
+        self.advance();
+        self.sync_memory();
+    }
+
+    /// [`Simulator::step`] without the closing sync: partitions may lag
+    /// the memory stage afterwards (DESIGN.md §4k). The run loops step
+    /// with it and sync once at exit.
+    pub(crate) fn advance(&mut self) {
+        let now = self.gpu_cycles();
         let mut prof = self.profile.take();
         let mut mark = prof.as_ref().map(|_| Instant::now());
 
@@ -380,44 +390,23 @@ impl Simulator {
         Self::lap(&mut mark, &mut prof, |p| &mut p.issue_ns);
 
         // 2. Request network ejects into partition ingress ports. Each
-        // grant catches its partition up on deferred memory visits first
-        // (`MemoryStage::partition_mut`), so it lands at the exact live
-        // state.
+        // grant catches its partition up on the visits it lagged through
+        // first (`MemoryStage::partition_mut`), so it lands at the exact
+        // live state.
         self.request_net.step(now, &mut self.memory);
         self.stage_ticks.request_net += 1;
         Self::lap(&mut mark, &mut prof, |p| &mut p.request_net_ns);
 
         // 3+4. The memory stage's whole cycle: L2 front halves (GPU
         // clock) plus every pending DRAM tick (exact integer rational
-        // coupling), in one pass over the active partitions.
-        self.clock.accrue_gpu_cycle();
-        let (first_dram, dram_ticks) = self.clock.take_dram_span();
-        // Retire-time batching: when every partition reports a bulk
-        // horizon covering this visit's window — MEM-side state quiet,
-        // controllers idle / in plan or stall windows / simply unable to
-        // complete a MEM request within `min_completion_latency` ticks,
-        // and at most pure-PIM work waiting in the ports — the whole
-        // cycle is recorded as deferred instead of stepped. Partitions
-        // replay their share of the recorded visits lazily: on the next
-        // eject into them (`partition_mut`), before an ack drain that
-        // could owe their acks, on the next live step, or at the next
-        // global catch-up — through the exact live code paths, so state
-        // is bit-identical and no observable (reply, ack, fill) could
-        // have surfaced inside the window. Deferred cycles do not count
-        // as memory-stage ticks: that asymmetry *is* the measured win
-        // (the `ticks_memory` gate).
-        let dram_end = first_dram + dram_ticks;
-        let deferrable = self.ack_batching
-            && (self.memory.can_defer_through(dram_end)
-                // Second chance: a refusal from a *lagging* partition
-                // reflects a horizon frozen at its last sync point, not
-                // the live schedule. Catch up just the refusing
-                // partitions and re-check.
-                || self.memory.refresh_lagging_through(dram_end));
-        if deferrable {
-            self.memory.defer_cycle(now, first_dram, dram_ticks);
-        } else {
-            self.memory.step_cycle_all(now, first_dram, dram_ticks);
+        // coupling), in one pass over the active partitions, and the
+        // clocks' advance past it. A partition whose bulk horizon covers
+        // the visit lags through it instead and is caught up, through
+        // the exact live code paths, where its state is next observed
+        // (DESIGN.md §4k). A cycle counts as a memory-stage tick only if
+        // some partition stepped live: that asymmetry *is* the measured
+        // win (the `ticks_memory` gate).
+        if self.memory.step_cycle() {
             self.stage_ticks.memory += 1;
         }
         Self::lap(&mut mark, &mut prof, |p| &mut p.memory_ns);
@@ -442,13 +431,13 @@ impl Simulator {
                 .any(|k| k.is_pim && k.model.wants_completions(now));
         if deliver_acks {
             // Acks become observable once their DRAM cycle has been
-            // *serviced*: `dram_now()` is the next unserviced tick (the
-            // span above ended at `dram_now() - 1`), so that is the drain
-            // limit. Eager production pops each completion on its own
-            // tick with the same bound, so both modes drain identically.
-            // Production is pull-driven: the drain replays lagging
-            // partitions that could owe a due ack first.
-            let ack_limit = self.clock.dram_now().saturating_sub(1);
+            // *serviced*: `dram_cycles()` is the next unserviced tick (the
+            // span above ended at `dram_cycles() - 1`), so that is the
+            // drain limit. Eager production pops each completion on its
+            // own tick with the same bound, so both modes drain
+            // identically. Production is pull-driven: the drain catches
+            // up lagging partitions that could owe a due ack first.
+            let ack_limit = self.dram_cycles().saturating_sub(1);
             self.completion.collect_acks(
                 &mut self.memory,
                 &mut self.kernels,
@@ -500,7 +489,6 @@ impl Simulator {
         check_kernel_completion(&mut self.kernels, &mut self.issue, now);
         Self::lap(&mut mark, &mut prof, |p| &mut p.completion_ns);
 
-        self.clock.finish_gpu_cycle();
         if let Some(p) = prof.as_mut() {
             p.stepped_cycles += 1;
         }
@@ -514,7 +502,8 @@ impl Simulator {
     /// act: the issue stage's next due SM (its wake table, fed by the
     /// per-slot [`KernelModel::next_issue_cycle`] bounds), the memory
     /// stage's next L2 release (GPU clock) or controller horizon (DRAM
-    /// clock, via [`ClockCoupler::max_jump_for_dram_bound`]), or
+    /// clock, via
+    /// [`crate::pipeline::ClockCoupler::max_jump_for_dram_bound`]), or
     /// `limit`. Requests may be in flight throughout — queued in a
     /// stalled controller, moving as DRAM data, or waiting in an L2 hit
     /// pipeline.
@@ -533,10 +522,10 @@ impl Simulator {
     ///
     /// The probes run cheapest first — crossbar occupancy, the reply
     /// summary, the issue stage's due cycle, pending PIM acks — so a busy
-    /// cycle is refused before the memory stage catches up its deferred
-    /// visits, which would cut their replay windows short.
+    /// cycle is refused before the memory stage's horizon walk catches
+    /// lagging partitions up, which would cut their lags short.
     pub(crate) fn skip_idle_span(&mut self, limit: Cycle) -> bool {
-        let now = self.clock.gpu_now();
+        let now = self.gpu_cycles();
         if now >= limit
             || self.request_net.occupancy() > 0
             || self.reply_net.horizon(now, &self.memory).is_some()
@@ -547,12 +536,12 @@ impl Simulator {
         if issue_due.is_some_and(|at| at <= now) || self.memory.acks_pending() {
             return false;
         }
-        let dram_now = self.clock.dram_now();
-        // Replay any deferred production *before* reading horizons, so
-        // every active partition is read at `dram_now`.
-        self.memory.catch_up_to(dram_now);
-        let mem = self.memory.horizon(now, dram_now);
-        let dram_bound = mem.dram.map(|h| self.clock.max_jump_for_dram_bound(h));
+        // The walk catches each partition up before reading it, so every
+        // horizon is read at the stage clock.
+        let mem = self.memory.horizon();
+        let dram_bound = mem
+            .dram
+            .map(|h| self.memory.clock().max_jump_for_dram_bound(h));
         let Some(target) = [issue_due, mem.l2_release, dram_bound]
             .into_iter()
             .flatten()
@@ -574,9 +563,7 @@ impl Simulator {
         let quiet = self.request_net.skip_quiet_span(now, target - now)
             && self.reply_net.skip_quiet_span(now, target - now);
         debug_assert!(quiet, "skip licensed with flits buffered in a crossbar");
-        self.clock.jump_to(target);
-        let ticks = self.clock.dram_now() - dram_now;
-        self.memory.quiet_replay_all(dram_now, ticks);
+        self.memory.quiet_replay_all(target);
         true
     }
 }

@@ -28,6 +28,13 @@ cargo clippy --all-targets --workspace -- -D warnings
 # simulation runs on one thread, so one pass covers every sweep width.
 cargo test -q --release --test golden_pipeline
 
+# The paper-level end-to-end checks (tests/end_to_end.rs): PIM-First
+# starves the GPU kernel, F3FS switches less than FR-RR-FCFS, VC2 raises
+# MEM-First's arrival rate, runs are deterministic, and more. Seven of
+# them are ignored in the debug pass above as too slow there; in
+# release the whole file takes under a second.
+cargo test -q --release --test end_to_end
+
 # Backend-registry smoke (DESIGN.md §4j): both registries must round-trip
 # names and agree on the error dialect, every registered backend must be
 # reachable from the CLI, and a short LP5X run must complete end to end —

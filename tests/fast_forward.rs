@@ -12,7 +12,7 @@ use pim_coscheduling::core::McStats;
 use pim_coscheduling::gpu::IssuedRequest;
 use pim_coscheduling::sim::experiments::sweep::parallel_map;
 use pim_coscheduling::sim::{KernelModel, Runner, Simulator};
-use pim_coscheduling::types::{Cycle, RequestId, SystemConfig, VcMode};
+use pim_coscheduling::types::{Cycle, Mode, RequestId, SystemConfig, VcMode};
 use pim_coscheduling::workloads::{
     gpu_kernel, pim_kernel, pim_suite::PimBenchmark, rodinia::GpuBenchmark,
 };
@@ -430,10 +430,10 @@ fn event_delivery_matches_eager_oracle() {
 /// Oracle property for retire-time completion batching (DESIGN.md §4k):
 /// with batching on (the default) controllers emit each burst plan's
 /// acks as one retire-time batch, partitions re-sort them into
-/// time-ordered delivery schedules, and the memory stage defers whole
-/// production cycles behind partition bulk horizons; with batching off
-/// every completion goes through the per-tick heap and the stage steps
-/// every cycle (the eager oracle). Every observable — total cycles,
+/// time-ordered delivery schedules, and each partition lags through
+/// whole visits behind its bulk horizon; with batching off every
+/// completion goes through the per-tick heap and no partition ever lags
+/// (the eager oracle). Every observable — total cycles,
 /// injections, merged controller stats — must be bit-identical across
 /// the two modes, on both DRAM backends, in both fast-forward modes.
 /// The matrix runs VC1 (shared lanes maximize PIM/MEM interleaving in
@@ -499,6 +499,66 @@ fn ack_batching_matches_per_tick_oracle() {
             assert_eq!(got.total_cycles, eager.total_cycles, "{ctx}: total cycles");
             assert_mc_identical(&got.mc, &eager.mc, &ctx);
         }
+    }
+}
+
+/// Every partition's controller as a caller sees it between steps:
+/// (MEM-Q length, PIM-Q length, mode, switches).
+fn partition_states(sim: &Simulator) -> Vec<(usize, usize, Mode, u64)> {
+    sim.partitions()
+        .map(|p| {
+            let mc = &p.mc;
+            (
+                mc.mem_q_len(),
+                mc.pim_q_len(),
+                mc.mode(),
+                mc.stats().switches,
+            )
+        })
+        .collect()
+}
+
+/// The public `Simulator::step` hands control back after every cycle,
+/// and callers read partitions between steps (`examples/mode_timeline.rs`
+/// and `examples/congestion_anatomy.rs` do). So each step must leave
+/// every partition current: cycle by cycle, the state must match the
+/// eager run with ack batching off, in which no partition ever lags.
+/// Two inputs: P1 alone, and P1 next to G11 under the three policies
+/// `mode_timeline` draws.
+#[test]
+fn public_step_matches_eager_oracle_every_cycle() {
+    const CYCLES: u64 = 2_400;
+    let inputs = [
+        ("P1", PolicyKind::FrFcfs, false),
+        ("P1+G11", PolicyKind::Fcfs, true),
+        ("P1+G11", PolicyKind::FrFcfs, true),
+        ("P1+G11", PolicyKind::f3fs_competitive(), true),
+    ];
+    for (name, policy, with_gpu) in inputs {
+        let build = |batching: bool| {
+            let mut sim = Simulator::new(SystemConfig::default(), policy);
+            sim.set_ack_batching(batching);
+            let pim = pim_kernel(PimBenchmark(1), 32, 4, 256, 0.3);
+            sim.mount(Box::new(pim), (0..8).collect(), true, true);
+            if with_gpu {
+                let gpu = gpu_kernel(GpuBenchmark(11), 72, 0.3);
+                sim.mount(Box::new(gpu), (8..80).collect(), false, true);
+            }
+            sim
+        };
+        let (mut lazy, mut eager) = (build(true), build(false));
+        for cycle in 0..CYCLES {
+            lazy.step();
+            eager.step();
+            assert_eq!(
+                partition_states(&lazy),
+                partition_states(&eager),
+                "{name} under {}: partitions after cycle {cycle}",
+                policy.label()
+            );
+        }
+        let ctx = format!("{name} under {}", policy.label());
+        assert_mc_identical(&lazy.merged_mc_stats(), &eager.merged_mc_stats(), &ctx);
     }
 }
 
