@@ -12,9 +12,10 @@
 //!
 //! The fast-forward gate is deterministic: each scenario's skip count
 //! must reach, and its memory, reply-network and completion tick counts
-//! stay within, the values committed in `BENCH_hotloop.json`, and so
-//! must the controllers' step mix (full steps at most, memo replays,
-//! plan-retired cycles and burst plans at least the committed counts).
+//! and replayed partition visits stay within, the values committed in
+//! `BENCH_hotloop.json`, and so must the controllers' step mix (full
+//! steps at most, memo replays, plan-retired cycles and burst plans at
+//! least the committed counts).
 //! Wall-clock rates are reported, not gated — host noise decides them;
 //! the counters do not move with it.
 
@@ -196,14 +197,20 @@ fn main() {
             ff_skips >= min_skips,
             "{name}: fast-forward took {ff_skips} skips, fewer than the committed {min_skips}"
         );
-        // Stage ticks: the memory, reply-network and completion stages
-        // may run no more often than committed. A rise means a deferral
-        // or delivery gate stopped engaging (a stale reply summary shows
-        // up here as well).
+        // Stage ticks and replayed partition visits: the memory,
+        // reply-network and completion stages may run no more often, and
+        // catch-ups may replay no more visits, than committed. A rise in
+        // ticks means a deferral or delivery gate stopped engaging (a
+        // stale reply summary shows up here as well). A rise in replays
+        // means some partition now lags where the committed run stepped
+        // it live or dropped it as idle: only a partition that holds no
+        // MEM work may lag (DESIGN.md §4k), so a MEM-only scenario
+        // replays none.
         for (key, got) in [
             ("ticks_memory", mix.ticks_memory),
             ("ticks_reply_net", mix.ticks_reply_net),
             ("ticks_completion", mix.ticks_completion),
+            ("replayed_visits", mix.replayed_visits),
         ] {
             let max = bound(key);
             assert!(

@@ -1,26 +1,19 @@
-//! Component and port primitives for the pipeline simulator.
+//! Port primitives for the pipeline simulator.
 //!
 //! The paper's system is a pipeline of shared resources — SM issue, the
 //! request crossbar, L2 slices, memory controllers, DRAM/PIM, the reply
-//! crossbar. This crate provides the two contracts that make those stages
-//! explicit instead of hand-wired closures:
+//! crossbar. This crate provides the typed queues that link those
+//! stages instead of hand-wired closures:
 //!
-//! * [`Component`] — a pipeline stage with a `step(now, ctx)` advance and a
-//!   `next_activity_cycle(now)` idle contract (the hook the event-driven
-//!   scheduler uses to skip provably idle spans);
 //! * [`Wire<T>`] / [`Port<T>`] — typed, credit-based bounded queues linking
 //!   stages, replacing ad-hoc `VecDeque` fields plus bespoke
-//!   peek/pop/drain method pairs with one uniform backpressure protocol.
+//!   peek/pop/drain method pairs with one uniform backpressure protocol;
+//! * [`Schedule<T>`] — a time-ordered delivery queue whose items become
+//!   visible only once the consumer's clock reaches their timestamp.
 //!
-//! # Soundness under fast-forward
-//!
-//! `next_activity_cycle` must satisfy: if it returns `None`, a `step` at
-//! any cycle ≥ `now` with empty input ports mutates nothing observable
-//! (counters derived from occupancy included — an empty wire contributes
-//! zero to every integral). Wires uphold their half of the contract by
-//! construction: an empty wire has no state besides its (already counted)
-//! statistics, so skipping cycles in which every wire is empty and every
-//! component reports `None` is exact.
+//! An empty wire has no state besides its (already counted) statistics,
+//! so a scheduler may skip cycles in which a wire stays empty without
+//! changing anything observable.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -29,37 +22,6 @@ use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
 
 use pimsim_types::Cycle;
-
-/// A pipeline stage of the simulator.
-///
-/// Stages own their internal state and the wires they read from or write
-/// to are handed in through the typed [`Component::Ctx`] — the borrow
-/// context a scheduler must provide for one step. Stages with no external
-/// needs use `Ctx = ()`.
-pub trait Component {
-    /// External state (ports of neighboring stages, kernel models, shared
-    /// read-only tables) the stage needs for one step.
-    type Ctx<'a>;
-
-    /// Short stable name for diagnostics (`"request-net"`, `"issue"`).
-    fn name(&self) -> &'static str;
-
-    /// Advances the stage by one cycle of its clock domain.
-    fn step(&mut self, now: Cycle, ctx: Self::Ctx<'_>);
-
-    /// The earliest cycle at or after `now` at which this stage can do
-    /// work on its own (without new input arriving on its ports), or
-    /// `None` while it holds none. Conservative answers must err toward
-    /// `Some(now)`: returning `None` licenses the scheduler to skip the
-    /// stage's steps entirely, so it is only sound when a step would
-    /// provably mutate nothing (see the crate docs).
-    fn next_activity_cycle(&self, now: Cycle) -> Option<Cycle>;
-
-    /// Whether the stage is idle at `now` (no activity now or later).
-    fn is_idle(&self, now: Cycle) -> bool {
-        self.next_activity_cycle(now).is_none()
-    }
-}
 
 /// Counters every wire maintains; transfer stats used to be scattered over
 /// bespoke `*_accepted` / `*_stalls` fields.
@@ -671,48 +633,5 @@ mod tests {
         }
         let expect: Vec<u64> = pushed.into_iter().map(|(_, k)| k).collect();
         assert_eq!(got, expect, "pops must merge lanes in (at, key) order");
-    }
-
-    /// A minimal component exercising the trait contract, including the
-    /// typed step context.
-    struct Counter {
-        pending: u32,
-        done: u32,
-    }
-
-    impl Component for Counter {
-        type Ctx<'a> = &'a mut Vec<u32>;
-
-        fn name(&self) -> &'static str {
-            "counter"
-        }
-
-        fn step(&mut self, _now: Cycle, out: Self::Ctx<'_>) {
-            if self.pending > 0 {
-                self.pending -= 1;
-                self.done += 1;
-                out.push(self.done);
-            }
-        }
-
-        fn next_activity_cycle(&self, now: Cycle) -> Option<Cycle> {
-            (self.pending > 0).then_some(now)
-        }
-    }
-
-    #[test]
-    fn component_contract_round_trips() {
-        let mut c = Counter {
-            pending: 2,
-            done: 0,
-        };
-        let mut out = Vec::new();
-        assert_eq!(c.next_activity_cycle(5), Some(5));
-        assert!(!c.is_idle(5));
-        c.step(5, &mut out);
-        c.step(6, &mut out);
-        assert_eq!(out, vec![1, 2]);
-        assert!(c.is_idle(7), "drained component must go idle");
-        assert_eq!(c.name(), "counter");
     }
 }

@@ -567,8 +567,8 @@ impl MemoryController {
     }
 
     /// Pops the earliest completion with `at <= now`, if any — the
-    /// allocation-free form of [`MemoryController::pop_completions`] for
-    /// per-cycle consumers that process completions one at a time.
+    /// allocation-free form of [`MemoryController::pop_completions_into`]
+    /// for per-cycle consumers that process completions one at a time.
     pub fn pop_completion_before(&mut self, now: Cycle) -> Option<Completion> {
         if self.completions.peek().is_some_and(|c| c.at <= now) {
             return self.completions.pop();
@@ -960,85 +960,39 @@ impl MemoryController {
         true
     }
 
-    /// A sound lower bound on (completion cycle − issue cycle) for every
-    /// column command this controller's channel can issue: reads complete
-    /// at `t_cl (+ burst)`, writes and PIM writes at `t_wl + burst`, PIM
-    /// reads at `t_cl` — so nothing ever completes earlier than
-    /// `min(t_cl, t_wl + burst)` after its issue tick. The deferral
-    /// machinery leans on this: any issue a deferred tick would have made
-    /// cannot produce an observable completion for at least this many
-    /// ticks, so a window no longer than this is always replayable.
-    pub fn min_completion_latency(&self) -> Cycle {
-        let (_, read_lat, write_lat) = self.channel.pim_burst_timing();
-        let l_min = read_lat.min(write_lat);
-        debug_assert!(l_min >= 1, "a zero-latency completion breaks deferral");
-        l_min
-    }
-
-    /// How far the owner may defer this controller's DRAM ticks, given
-    /// the next tick to service is `from`: every tick in
-    /// `[from, horizon)` is guaranteed to be reproducible later —
-    /// in O(1) through [`MemoryController::quiet_replay_span`] /
-    /// [`MemoryController::plan_replay_span`] / the idle fast path when
-    /// the regime allows, by exact per-tick [`MemoryController::step`]
-    /// replay otherwise — with no completion falling due inside the
-    /// window. Arrivals void the deferral on the owner's side.
-    /// `Some(Cycle::MAX)` means the controller is idle and stays idle
-    /// absent arrivals; `None` means batching is off (the eager oracle
-    /// needs its per-tick hand-off).
-    ///
-    /// The bound is built from two pieces, taking the minimum:
-    /// - the earliest heap completion, which must be popped at its exact
-    ///   tick. In batched mode PIM completions bypass the heap (they are
-    ///   deposited timestamped into the ack batch and *pulled* by the
-    ///   delivery stage, which replays lagging partitions before every
-    ///   drain), so the heap holds only MEM fills/writebacks here; and
-    /// - the regime bound, which applies only while MEM requests are
-    ///   queued: a MEM issue deposits an exact-tick heap completion, so
-    ///   no such completion can fall due before the earliest possible
-    ///   issue plus [`MemoryController::min_completion_latency`]. Inside
-    ///   a plan window the next scheduling decision is at `plan_until`;
-    ///   inside an armed stall window, at `stall_until`; an actively
-    ///   scheduling controller can issue as soon as `from` itself. With
-    ///   no MEM queued there is nothing production-bound in the window —
-    ///   PIM acks are pull-produced — and the regime is unbounded.
-    pub fn bulk_horizon(&self, from: Cycle) -> Option<Cycle> {
-        if !self.ack_batching {
-            return None;
-        }
-        if self.is_idle(from) {
-            return Some(Cycle::MAX);
-        }
-        let mem_due = self.completions.peek().map_or(Cycle::MAX, |c| c.at);
-        let regime = if self.queues.mem_len() == 0 {
-            Cycle::MAX
-        } else {
-            let l_min = self.min_completion_latency();
-            if from < self.plan_until {
-                self.plan_until.saturating_add(l_min)
-            } else if from < self.stall_until {
-                self.stall_until.saturating_add(l_min)
-            } else {
-                from.saturating_add(l_min)
-            }
-        };
-        Some(regime.min(mem_due))
+    /// Whether the owner may let this controller's DRAM ticks lag, to be
+    /// replayed later through the live code path: batching is on and the
+    /// controller holds no MEM work — no MEM request queued, no MEM
+    /// completion in flight. In batched mode PIM completions bypass the
+    /// heap (they are deposited timestamped into the ack batch and
+    /// *pulled* by the delivery stage, which catches lagging partitions
+    /// up before every drain), so the heap holds only MEM fills and
+    /// writebacks, which must be popped at their exact tick. With no MEM
+    /// work nothing in a lag is production-bound and no arrival can land
+    /// inside it (the owner catches up first), so the lag may last until
+    /// the partition is next observed. With batching off the eager oracle
+    /// needs its per-tick hand-off and nothing lags.
+    pub fn may_lag(&self) -> bool {
+        self.ack_batching && self.queues.mem_len() == 0 && self.completions.is_empty()
     }
 
     /// The earliest cycle a *new* enqueue arriving at DRAM tick `at`
-    /// could produce an observable completion. Unlike
-    /// [`MemoryController::bulk_horizon`]'s regime bound, this is sound
-    /// even though the arrival is not yet enqueued: an arrival cannot
-    /// issue before its own tick, and while a burst plan is live it
-    /// cannot issue before the plan's end either — plans survive
-    /// enqueues unconditionally. A stall memo offers no such cover (the
-    /// enqueue voids it and the freed controller may issue immediately),
-    /// so the bound deliberately ignores `stall_until`. The memory
-    /// stage's pull-driven ack drain (DESIGN.md §4k) uses it to skip
-    /// lagging partitions that cannot owe a due ack yet.
+    /// could produce an observable completion: an arrival cannot issue
+    /// before its own tick, and while a burst plan is live it cannot
+    /// issue before the plan's end either — plans survive enqueues
+    /// unconditionally. A stall memo offers no such cover (the enqueue
+    /// voids it and the freed controller may issue immediately), so the
+    /// bound deliberately ignores `stall_until`. Any issue then completes
+    /// no earlier than `L_min = min(t_cl, t_wl + burst)` after its issue
+    /// tick: reads complete at `t_cl (+ burst)`, writes and PIM writes at
+    /// `t_wl + burst`, PIM reads at `t_cl`. The memory stage's
+    /// pull-driven ack drain (DESIGN.md §4k) uses it to skip lagging
+    /// partitions that cannot owe a due ack yet.
     pub fn arrival_bound(&self, at: Cycle) -> Cycle {
-        at.max(self.plan_until)
-            .saturating_add(self.min_completion_latency())
+        let (_, read_lat, write_lat) = self.channel.pim_burst_timing();
+        let l_min = read_lat.min(write_lat);
+        debug_assert!(l_min >= 1, "a zero-latency completion breaks the pull skip");
+        at.max(self.plan_until).saturating_add(l_min)
     }
 
     fn integrate_blp(&mut self, now: Cycle) {

@@ -388,21 +388,6 @@ pub fn system_config(kind: DramBackendKind) -> SystemConfig {
     cfg
 }
 
-/// Parses a backend spec and installs it into `cfg` in one step — the
-/// front-end entry point behind `--dram <spec>` flags.
-///
-/// # Errors
-///
-/// Returns the [`BackendParseError`] from [`parse_spec`].
-pub fn apply_spec(
-    spec: &str,
-    cfg: &mut SystemConfig,
-) -> Result<DramBackendKind, BackendParseError> {
-    let kind = parse_spec(spec)?;
-    configure(kind, cfg);
-    Ok(kind)
-}
-
 /// Builds one channel's state machine through the backend recorded in
 /// `cfg` — the construction path the memory controller uses, so no crate
 /// above this one names a concrete channel constructor.

@@ -63,11 +63,6 @@ impl PimEngine {
         }
     }
 
-    /// Number of RF entries per bank.
-    pub fn rf_entries(&self) -> usize {
-        self.valid.len()
-    }
-
     /// Total PIM ops executed.
     pub fn ops_executed(&self) -> u64 {
         self.ops_executed

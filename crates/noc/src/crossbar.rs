@@ -263,11 +263,6 @@ impl Crossbar {
         Ok(())
     }
 
-    /// Total flits buffered at `input`.
-    pub fn input_occupancy(&self, input: usize) -> usize {
-        self.inputs[input].occupancy()
-    }
-
     /// Total flits buffered in the crossbar. O(1): maintained on
     /// inject/eject.
     pub fn total_occupancy(&self) -> usize {
@@ -281,16 +276,6 @@ impl Crossbar {
     /// Snapshot of the counters.
     pub fn stats(&self) -> CrossbarStats {
         self.stats
-    }
-
-    /// The earliest cycle at or after `now` at which this crossbar can do
-    /// work, or `None` while it is empty. An input-queued crossbar has no
-    /// internal timers: it is active exactly when it buffers flits, so the
-    /// answer is always `now` or never. (The grant pointers and VC
-    /// round-robin state only advance on successful grants, so idle cycles
-    /// leave the arbiter state untouched — skipping them is exact.)
-    pub fn next_activity_cycle(&self, now: Cycle) -> Option<Cycle> {
-        (self.total_occupancy() > 0).then_some(now)
     }
 
     /// Advances the crossbar over a span of cycles it is known to be

@@ -9,17 +9,17 @@
 //! ([`Port`] splits total capacity evenly, matching Section V-A's
 //! equal-total-buffering comparison).
 //!
-//! The partition is a DRAM-domain [`Component`]; its L2 front half ticks
-//! on the GPU clock via [`Partition::step_l2`]. Hand-offs with the rest
-//! of the pipeline are typed credit-based queues: the crossbar ejects
-//! into [`Partition::try_accept`] (the ingress [`Port`]), MEM replies
-//! leave through the [`Partition::reply`] wire, and PIM acks through the
-//! [`Partition::acks`] wire.
+//! The partition steps on the DRAM clock ([`Partition::step_dram`]);
+//! its L2 front half ticks on the GPU clock via [`Partition::step_l2`].
+//! Hand-offs with the rest of the pipeline are typed credit-based
+//! queues: the crossbar ejects into [`Partition::try_accept`] (the
+//! ingress [`Port`]), MEM replies leave through the [`Partition::reply`]
+//! wire, and PIM acks through the [`Partition::acks`] wire.
 
 use std::collections::VecDeque;
 
 use pimsim_cache::{AccessOutcome, CacheSlice};
-use pimsim_component::{Component, Port, Schedule, Wire};
+use pimsim_component::{Port, Schedule, Wire};
 use pimsim_core::{Completion, MemoryController, SchedulePolicy};
 use pimsim_dram::AddressMapper;
 use pimsim_types::{Cycle, DecodedAddr, Request, RequestId, RequestKind, SystemConfig, VcMode};
@@ -70,16 +70,6 @@ impl Horizon {
     }
 }
 
-/// A partition's lag behind the memory stage ([`Partition::visit`]).
-#[derive(Debug)]
-struct Lag {
-    /// The clock at the first GPU cycle the partition has not applied.
-    clock: ClockCoupler,
-    /// The partition's bulk horizon there: it may keep lagging through
-    /// every visit whose DRAM ticks end at or before this tick.
-    limit: Cycle,
-}
-
 /// How a partition took one memory-stage visit ([`Partition::visit`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Visit {
@@ -121,8 +111,8 @@ pub struct Partition {
     acks: Schedule<Request>,
     /// Non-PIM requests currently staged across the ingress and L2→DRAM
     /// ports — an O(1) mirror of scanning both ports, kept so the
-    /// pure-PIM test in [`Partition::bulk_horizon`] costs nothing on the
-    /// per-visit horizon read. Updated at every port entry/exit.
+    /// pure-PIM test in [`Partition::may_lag`] costs nothing on the
+    /// per-visit read. Updated at every port entry/exit.
     staged_mem: usize,
     /// Round-robin pointers for lane service.
     rr_icnt: usize,
@@ -131,9 +121,10 @@ pub struct Partition {
     /// see [`Partition::mint_internal_id`].
     next_internal_id: u64,
     stats: PartitionStats,
-    /// The partition's lag behind the memory stage; `None` while it is
-    /// current.
-    lag: Option<Lag>,
+    /// While the partition lags the memory stage ([`Partition::visit`]),
+    /// the clock at the first GPU cycle it has not applied; `None` while
+    /// it is current.
+    lag: Option<ClockCoupler>,
     /// Catch-ups that replayed at least one lagged visit.
     replay_batches: u64,
     /// Lagged visits replayed, summed over all catch-ups.
@@ -272,8 +263,7 @@ impl Partition {
     }
 
     /// One GPU-clock step of the L2 stage. Fill and writeback IDs are
-    /// minted from this partition's own lane
-    /// ([`Partition::mint_internal_id`]).
+    /// minted from this partition's own internal-ID lane.
     pub fn step_l2(&mut self, now: Cycle) {
         self.process_fills(now);
         self.drain_writebacks();
@@ -531,103 +521,84 @@ impl Partition {
             .any(|lane| lane.iter().any(|r| !r.kind.is_pim()))
     }
 
-    /// How far this partition may lag the memory stage (both the L2
-    /// front half and DRAM ticks), given the next unserviced DRAM tick is
-    /// `from`: every tick in `[from, horizon)` is reproducible later by
-    /// `Partition::catch_up` with bit-identical state and no observable
-    /// (reply, ack delivery, fill) surfacing inside the window — provided
-    /// no request is ejected into the partition in between (the memory
-    /// stage catches the partition up on any `partition_mut` access, and
-    /// a current partition reads its horizon afresh at every visit).
-    /// `None` means the partition needs live per-cycle service.
+    /// Whether this partition may lag the memory stage (both the L2 front
+    /// half and DRAM ticks) until it is next observed: every visit it
+    /// skips is reproducible later by `Partition::catch_up` with
+    /// bit-identical state and no observable (reply, ack delivery, fill)
+    /// surfacing in between — provided no request is ejected into the
+    /// partition meanwhile (the memory stage catches the partition up on
+    /// any `partition_mut` access, and a current partition asks again at
+    /// every visit).
     ///
-    /// MEM-side work refuses lagging outright: L2 hits, fills, and
-    /// writebacks push replies at cycle granularity. A *pure-PIM*
-    /// pipeline (PIM requests waiting in the ingress or L2→DRAM ports)
-    /// may lag and does not bound the window: PIM bypasses the L2,
+    /// MEM work refuses lagging outright: L2 hits, fills and writebacks
+    /// push replies at cycle granularity, and MEM requests staged in the
+    /// ports or queued at the controller, or MEM completions in flight
+    /// there, lead to them. A *pure-PIM* pipeline (PIM requests waiting
+    /// in the ingress or L2→DRAM ports) may lag: PIM bypasses the L2,
     /// touches no reply wire, and the acks it produces are pulled by the
     /// delivery stage, which catches lagging partitions up before every
-    /// drain — so no production deadline falls inside the window. The
-    /// one coupling to MEM state is the reply-wire backpressure threshold
-    /// in the L2 service loop: while the wire sits below `REPLY_OUT_CAP`
-    /// and only drains (nothing in a pure-PIM window pushes it, and the
-    /// reply network catches a partition up before popping it), the
-    /// threshold check resolves identically live and at replay; at or
-    /// above the cap the stall could lift mid-window, so lagging is
-    /// refused.
-    pub fn bulk_horizon(&self, from: Cycle) -> Option<Cycle> {
+    /// drain — so no production deadline falls inside the lag. The one
+    /// coupling to MEM state is the reply-wire backpressure threshold in
+    /// the L2 service loop: while the wire sits below `REPLY_OUT_CAP` and
+    /// only drains (nothing in a pure-PIM lag pushes it, and the reply
+    /// network catches a partition up before popping it), the threshold
+    /// check resolves identically live and at replay; at or above the cap
+    /// the stall could lift mid-lag, so lagging is refused while the
+    /// ports hold requests.
+    pub(crate) fn may_lag(&self) -> bool {
         if !self.l2_delay.is_empty()
             || !self.pending_fills.is_empty()
             || !self.pending_writebacks.is_empty()
         {
-            return None;
+            return false;
         }
-        let pipeline = !self.ingress.is_empty() || !self.to_dram.is_empty();
         debug_assert_eq!(
             self.staged_mem > 0,
             Self::port_has_mem(&self.ingress) || Self::port_has_mem(&self.to_dram),
             "staged_mem counter out of sync with the port contents"
         );
-        if pipeline && (self.staged_mem > 0 || self.reply.len() >= REPLY_OUT_CAP) {
-            return None;
+        let pipeline = !self.ingress.is_empty() || !self.to_dram.is_empty();
+        if self.staged_mem > 0 || (pipeline && self.reply.len() >= REPLY_OUT_CAP) {
+            return false;
         }
-        // Buffered pure-PIM work does not bound the window: ingestion
-        // and issue replay through the live code paths, and the acks
-        // they produce are *pulled* by the delivery stage (which catches
-        // lagging partitions up before every drain), so no production
-        // deadline falls inside the window (DESIGN.md §4k). MEM work
-        // cannot hide here — `staged_mem > 0` refused above — so the
-        // controller's own horizon (exact-tick MEM completions, MEM
-        // regime bound) is the whole story.
-        self.mc.bulk_horizon(from)
+        self.mc.may_lag()
     }
 
     /// One memory-stage visit: GPU cycle `at.gpu_now()` with the DRAM
     /// ticks `[at.dram_now(), at.dram_now() + ticks)`, where `at` is the
-    /// stage clock at the visit (DESIGN.md §4k). A lagging partition
-    /// keeps lagging while the bulk horizon it read when its lag began
-    /// covers the window. That horizon is frozen there — typically a
-    /// burst plan long since succeeded by the next one — so a refusal
-    /// says nothing about the live schedule: the partition catches up and
-    /// asks again, as a current partition, which reads its horizon
-    /// afresh.
+    /// stage clock at the visit (DESIGN.md §4k). A lagging partition keeps
+    /// lagging until it is observed. A current partition that may lag
+    /// starts lagging here, recording the clock; one that holds no work
+    /// at all is idle instead. Any other steps live.
     pub(crate) fn visit(&mut self, at: &ClockCoupler, ticks: u64, mapper: &AddressMapper) -> Visit {
-        let (from, end) = (at.dram_now(), at.dram_now() + ticks);
-        if let Some(lag) = &self.lag {
-            if end <= lag.limit {
-                return Visit::Lagged;
-            }
-            self.catch_up(at, mapper);
+        if self.lag.is_some() {
+            return Visit::Lagged;
         }
-        match self.bulk_horizon(from) {
-            Some(Cycle::MAX) if self.is_idle(from) => Visit::Idle,
-            Some(limit) if end <= limit => {
-                self.lag = Some(Lag {
-                    clock: at.clone(),
-                    limit,
-                });
-                Visit::Lagged
-            }
-            _ => {
-                self.step_l2(at.gpu_now());
-                self.step_dram_span(from, ticks, mapper);
-                Visit::Live
-            }
+        let from = at.dram_now();
+        if !self.may_lag() {
+            self.step_l2(at.gpu_now());
+            self.step_dram_span(from, ticks, mapper);
+            Visit::Live
+        } else if self.is_idle(from) {
+            Visit::Idle
+        } else {
+            self.lag = Some(at.clone());
+            Visit::Lagged
         }
     }
 
     /// Replays the stage visits this partition lagged through, up to the
-    /// stage clock `to` — the catch-up half of the
-    /// [`Partition::bulk_horizon`] contract. No-op while current. Each
-    /// visit replays through the *live* code path — `step_l2` plus
-    /// `step_dram_span`, its DRAM span taken from the partition's own
-    /// copy of the clock — which is bit-identical to never having lagged.
-    /// Once the ports and the L2 front half are quiet, the remaining
-    /// visits' L2 steps are provable no-ops — arrivals come only through
-    /// the memory stage's `partition_mut`, which catches the partition up
-    /// first — so their DRAM ticks collapse into one span.
+    /// stage clock `to` — the catch-up half of the [`Partition::may_lag`]
+    /// contract. No-op while current. Each visit replays through the
+    /// *live* code path — `step_l2` plus `step_dram_span`, its DRAM span
+    /// taken from the partition's own copy of the clock — which is
+    /// bit-identical to never having lagged. Once the ports and the L2
+    /// front half are quiet, the remaining visits' L2 steps are provable
+    /// no-ops — arrivals come only through the memory stage's
+    /// `partition_mut`, which catches the partition up first — so their
+    /// DRAM ticks collapse into one span.
     pub(crate) fn catch_up(&mut self, to: &ClockCoupler, mapper: &AddressMapper) {
-        let Some(Lag { mut clock, .. }) = self.lag.take() else {
+        let Some(mut clock) = self.lag.take() else {
             return;
         };
         self.replay_batches += 1;
@@ -646,7 +617,7 @@ impl Partition {
     /// The first DRAM tick this partition has not applied while it lags
     /// the memory stage; `None` while it is current.
     pub(crate) fn lag_start(&self) -> Option<Cycle> {
-        self.lag.as_ref().map(|lag| lag.clock.dram_now())
+        self.lag.as_ref().map(ClockCoupler::dram_now)
     }
 
     /// Cumulative catch-up counters: `(catch-ups that replayed at least
@@ -689,31 +660,6 @@ impl Partition {
     /// Whether the partition holds no work at all.
     pub fn is_idle(&self, dram_now: Cycle) -> bool {
         !self.buffers_hold_work() && self.l2_delay.is_empty() && self.mc.is_idle(dram_now)
-    }
-}
-
-impl Component for Partition {
-    /// Physical-address → bank/row/col decoding for MEM requests.
-    type Ctx<'a> = &'a AddressMapper;
-
-    fn name(&self) -> &'static str {
-        "partition"
-    }
-
-    /// One DRAM-clock tick ([`Partition::step_dram`]); the GPU-clock L2
-    /// front half is the separate [`Partition::step_l2`].
-    fn step(&mut self, now: Cycle, mapper: &AddressMapper) {
-        self.step_dram(now, mapper);
-    }
-
-    /// The DRAM-domain horizon: the controller's, unless some buffer or
-    /// the L2 hit pipeline holds work (see [`Partition::horizon`] for
-    /// the per-domain bounds).
-    fn next_activity_cycle(&self, now: Cycle) -> Option<Cycle> {
-        if self.buffers_hold_work() || !self.l2_delay.is_empty() {
-            return Some(now);
-        }
-        self.mc.next_activity_cycle(now)
     }
 }
 

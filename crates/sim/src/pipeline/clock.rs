@@ -86,9 +86,10 @@ impl ClockCoupler {
         self.gpu += 1;
     }
 
-    /// The largest GPU-cycle target `g` such that a [`ClockCoupler::jump_to(g)`]
-    /// would leave `dram_now() <= dram_bound` — i.e. every DRAM tick the
-    /// jump skips over is strictly below `dram_bound`. Used by the
+    /// The largest GPU-cycle target `g` such that a
+    /// [`jump_to(g)`](ClockCoupler::jump_to) would leave
+    /// `dram_now() <= dram_bound` — i.e. every DRAM tick the jump skips
+    /// over is strictly below `dram_bound`. Used by the
     /// fast-forward path to jump up to (but never past) the memory
     /// stage's stall/burst horizon.
     ///

@@ -123,9 +123,9 @@ impl InflightTable {
 /// per-cycle scratch buffers, and retires completions back into kernel
 /// slots (plus the issue stage's per-SM credit counters).
 ///
-/// Not a [`super::Component`]: it runs twice per GPU cycle — once for the
-/// out-of-band PIM ack wires, once for replies the reply network
-/// delivered — with the reply network's step in between.
+/// It runs twice per GPU cycle — once for the out-of-band PIM ack wires,
+/// once for replies the reply network delivered — with the reply
+/// network's step in between.
 #[derive(Debug, Default)]
 pub struct CompletionStage {
     inflight: InflightTable,

@@ -1,7 +1,6 @@
 //! The SM issue stage: asks each mounted kernel slot that is due for its
 //! next request and injects accepted requests into the request network.
 
-use pimsim_component::Component;
 use pimsim_dram::AddressMapper;
 use pimsim_types::{AppId, Cycle, Request, RequestKind};
 
@@ -43,7 +42,7 @@ const NEVER: Cycle = Cycle::MAX;
 /// credit is due again next cycle. Only [`KernelModel::reset`] voids a
 /// bound, so a mount ([`IssueStage::occupy`]) and a kernel restart
 /// (`IssueStage::wake`) make their SMs due at once. The earliest wake is
-/// the stage's activity horizon ([`Component::next_activity_cycle`]),
+/// the stage's activity horizon ([`IssueStage::next_activity_cycle`]),
 /// which the fast-forward probe reads.
 ///
 /// [`KernelModel::next_issue_cycle`]: pimsim_gpu::KernelModel::next_issue_cycle
@@ -110,16 +109,10 @@ impl IssueStage {
         debug_assert!(self.sm_outstanding[sm] > 0);
         self.sm_outstanding[sm] -= 1;
     }
-}
 
-impl Component for IssueStage {
-    type Ctx<'a> = IssueCtx<'a>;
-
-    fn name(&self) -> &'static str {
-        "issue"
-    }
-
-    fn step(&mut self, now: Cycle, ctx: IssueCtx<'_>) {
+    /// One GPU cycle: polls every due SM's kernel slot and injects what
+    /// it issues, then records each polled SM's next wake.
+    pub fn step(&mut self, now: Cycle, ctx: IssueCtx<'_>) {
         let mut next_wake = NEVER;
         for &sm in &self.occupied {
             if self.wake_at[sm] > now {
@@ -181,7 +174,7 @@ impl Component for IssueStage {
     /// The earliest cycle at or after `now` at which some SM is due for
     /// a poll, or `None` while every mounted slot has issued all of its
     /// work.
-    fn next_activity_cycle(&self, now: Cycle) -> Option<Cycle> {
+    pub fn next_activity_cycle(&self, now: Cycle) -> Option<Cycle> {
         (self.next_wake != NEVER).then(|| self.next_wake.max(now))
     }
 }

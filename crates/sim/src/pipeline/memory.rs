@@ -9,10 +9,10 @@
 //! quiet replay, ack drains, sync and the reply network's wire scan —
 //! walks it instead of every channel. A partition *leaves* when a live
 //! step or quiet replay leaves it [`Partition::is_idle`] at its DRAM
-//! service point, or when a visit that reads its bulk horizon afresh
-//! finds it idle; an idle partition is a fixed point of stepping (empty
-//! ports, quiet L2, idle controller), so skipping its visits is exact
-//! and it leaves current.
+//! service point, or when a visit to a current partition finds it idle;
+//! an idle partition is a fixed point of stepping (empty ports, quiet
+//! L2, idle controller), so skipping its visits is exact and it leaves
+//! current.
 //! It *re-enters* only where work can arrive:
 //! [`MemoryStage::partition_mut`] (the crossbar's eject hand-off, unit
 //! tests). Draining (acks, replies) only removes work, so those paths
@@ -141,7 +141,7 @@ impl MemoryStage {
     /// it up on any visits it lagged through — so callers (the crossbar
     /// eject path, the reply network, test drivers) always observe the
     /// exact live state, and an arrival can never land *inside* a lagged
-    /// span: a current partition reads its bulk horizon afresh at its
+    /// span: a current partition asks `Partition::may_lag` afresh at its
     /// next visit. Also admits the partition to the active set, since
     /// the caller may hand it work.
     pub fn partition_mut(&mut self, c: usize) -> &mut Partition {
@@ -347,7 +347,7 @@ impl MemoryStage {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::{Component, ReplyNet, ReplyNetCtx};
+    use crate::pipeline::{ReplyNet, ReplyNetCtx};
 
     fn stage_with(cfg: &SystemConfig) -> MemoryStage {
         MemoryStage::new(cfg, PolicyKind::FrFcfs)
@@ -518,6 +518,61 @@ mod tests {
                 "channel {c}"
             );
         }
+    }
+
+    #[test]
+    fn partitions_holding_mem_work_never_lag() {
+        // One partition gets a MEM read and four PIM loads. While its
+        // controller holds the read queued, no visit may leave it lagging,
+        // whatever stall or plan window the controller sits in: MEM work
+        // steps live. Once the read has left, the pure-PIM remainder lags.
+        // An eager twin — ack batching off, so nothing lags — must deliver
+        // the reply and every ack at the same cycles and end with the same
+        // controller stats.
+        let cfg = SystemConfig::default();
+        let (mut lazy, mut eager) = (stage_with(&cfg), stage_with(&cfg));
+        for c in 0..lazy.channel_count() {
+            lazy.partition_mut(c).mc.set_ack_batching(true);
+        }
+        let c = channel_of(&lazy, 0);
+        let mut logs = [Vec::new(), Vec::new()];
+        let mut lagged = false;
+        for (m, log) in [&mut lazy, &mut eager].into_iter().zip(&mut logs) {
+            let mut net = ReplyNet::new(&cfg);
+            assert!(m.partition_mut(c).try_accept(0, mem_read(100, 0)));
+            for id in 0..4 {
+                assert!(m.partition_mut(c).try_accept(0, pim_load(id, c)));
+            }
+            let (mut acks, mut replies, mut held_mem) = (Vec::new(), Vec::new(), false);
+            for now in 0..2_000 {
+                m.step_cycle();
+                // A lagging partition shows the state it lagged from.
+                let p = m.get(c);
+                if p.mc.mem_q_len() > 0 {
+                    held_mem = true;
+                    assert!(
+                        p.lag_start().is_none(),
+                        "a partition holding MEM work lagged (cycle {now})"
+                    );
+                }
+                lagged |= p.lag_start().is_some();
+                m.drain_acks_into(serviced(m), &mut acks);
+                if m.replies_pending() || net.has_traffic() {
+                    let ctx = ReplyNetCtx {
+                        memory: m,
+                        delivered: &mut replies,
+                    };
+                    net.step(now, ctx);
+                }
+                log.extend(acks.drain(..).chain(replies.drain(..)).map(|r| (now, r.id)));
+            }
+            assert!(held_mem, "the read never reached the controller queue");
+            m.sync();
+        }
+        assert!(lagged, "the pure-PIM remainder never lagged");
+        assert_eq!(logs[0].len(), 5, "the reply and every ack");
+        assert_eq!(logs[0], logs[1], "delivery cycles");
+        assert_eq!(lazy.get(c).mc.stats(), eager.get(c).mc.stats());
     }
 
     #[test]

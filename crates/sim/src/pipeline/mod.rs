@@ -11,14 +11,15 @@
 //!
 //! Each stage is a struct owning its internal state; the hand-offs between
 //! stages are typed credit-based queues ([`Wire`]/[`Port`]) exposed by the
-//! stage that buffers them. Stages that advance on a clock edge implement
-//! [`Component`]: [`IssueStage`], [`RequestNet`], and [`ReplyNet`] step on
-//! the GPU clock, and each [`crate::partition::Partition`] inside the
-//! memory stage steps on the DRAM clock. [`CompletionStage`] is a
-//! combinational sink (it runs twice per GPU cycle, once for PIM acks and
-//! once for delivered replies), and [`ClockCoupler`] is the exact rational
-//! coupling between the two clock domains — neither is a pipeline stage,
-//! so neither implements the trait.
+//! stage that buffers them. Each clocked stage has a `step(now, ctx)`
+//! method whose context borrows exactly the neighbouring state it needs:
+//! [`IssueStage`], [`RequestNet`], and [`ReplyNet`] step on the GPU clock,
+//! and the [`MemoryStage`] runs one GPU cycle of memory work at a time, in
+//! which each [`crate::partition::Partition`] steps its L2 front half on
+//! the GPU clock and its controller on the DRAM clock. [`CompletionStage`]
+//! is a combinational sink (it runs twice per GPU cycle, once for PIM acks
+//! and once for delivered replies), and [`ClockCoupler`] is the exact
+//! rational coupling between the two clock domains.
 //!
 //! The scheduler that sequences these stages is [`crate::Simulator`]; its
 //! step order is fixed and documented there.
@@ -34,7 +35,7 @@ pub use clock::ClockCoupler;
 pub use completion::{CompletionStage, InflightTable, INTERNAL_ID_BIT, INTERNAL_LANE_SHIFT};
 pub use issue::{IssueCtx, IssueStage};
 pub use memory::MemoryStage;
-pub use pimsim_component::{Component, Port, Wire, WireStats};
+pub use pimsim_component::{Port, Wire, WireStats};
 pub use reply_net::{ReplyNet, ReplyNetCtx};
 pub use request_net::RequestNet;
 

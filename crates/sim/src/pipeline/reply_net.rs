@@ -1,7 +1,6 @@
 //! The reply network: the partitions→SMs crossbar. Pulls from each
 //! partition's reply wire and delivers completions toward the issuing SM.
 
-use pimsim_component::Component;
 use pimsim_noc::Crossbar;
 use pimsim_types::{Cycle, Request, SystemConfig, VcMode};
 
@@ -41,15 +40,12 @@ impl ReplyNet {
         self.xbar.total_occupancy() > 0
     }
 
-    /// The reply path's true activity horizon: the earliest cycle at or
-    /// after `now` at which this stage can move a completion, or `None`
-    /// while provably quiet.
-    ///
-    /// The bare [`Component::next_activity_cycle`] consults only the
-    /// crossbar, which under-reports once delivery is event-driven:
-    /// completions queued in a partition's reply wire but not yet
-    /// injected are invisible to it. This variant folds in the memory
-    /// stage's reply summary, so a skip licensed by `None` here is sound
+    /// The reply path's activity horizon: the earliest cycle at or after
+    /// `now` at which this stage can move a completion, or `None` while
+    /// provably quiet. The crossbar alone under-reports once delivery is
+    /// event-driven: completions queued in a partition's reply wire but
+    /// not yet injected are invisible to it. So this folds in the memory
+    /// stage's reply summary, and a skip licensed by `None` here is sound
     /// even when wires hold queued-but-uninjected replies.
     pub fn horizon(&self, now: Cycle, memory: &MemoryStage) -> Option<Cycle> {
         (self.has_traffic() || memory.replies_pending()).then_some(now)
@@ -61,14 +57,6 @@ impl ReplyNet {
     pub fn skip_quiet_span(&mut self, first: Cycle, cycles: u64) -> bool {
         self.xbar.skip_quiet_span(first, cycles)
     }
-}
-
-impl Component for ReplyNet {
-    type Ctx<'a> = ReplyNetCtx<'a>;
-
-    fn name(&self) -> &'static str {
-        "reply-net"
-    }
 
     /// Injects as many buffered replies as each input port has credit
     /// for, then runs one arbitration cycle; ejection at an SM always
@@ -76,7 +64,7 @@ impl Component for ReplyNet {
     /// partitions can hold replies, and this is the only place replies
     /// leave the wires, so the scan writes the memory stage's reply
     /// summary back exactly.
-    fn step(&mut self, now: Cycle, ctx: ReplyNetCtx<'_>) {
+    pub fn step(&mut self, now: Cycle, ctx: ReplyNetCtx<'_>) {
         let mut pending = false;
         for c in ctx.memory.active().iter() {
             // Shared-ref emptiness check first: channels with nothing to
@@ -104,11 +92,5 @@ impl Component for ReplyNet {
             delivered.push(*req);
             true
         });
-    }
-
-    /// Crossbar-only horizon; prefer [`ReplyNet::horizon`], which also
-    /// sees replies queued in partition wires awaiting injection.
-    fn next_activity_cycle(&self, now: Cycle) -> Option<Cycle> {
-        self.xbar.next_activity_cycle(now)
     }
 }

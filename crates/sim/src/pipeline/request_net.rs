@@ -7,7 +7,6 @@
 //! up on any memory visits it lagged through before the flit lands, so
 //! an arrival never falls inside an unaccounted window.
 
-use pimsim_component::Component;
 use pimsim_noc::{Crossbar, CrossbarStats};
 use pimsim_types::{Cycle, Request, SystemConfig};
 
@@ -66,24 +65,12 @@ impl RequestNet {
     pub fn skip_quiet_span(&mut self, first: Cycle, cycles: u64) -> bool {
         self.xbar.skip_quiet_span(first, cycles)
     }
-}
-
-impl Component for RequestNet {
-    type Ctx<'a> = &'a mut MemoryStage;
-
-    fn name(&self) -> &'static str {
-        "request-net"
-    }
 
     /// One arbitration cycle; each grant ejects into its partition's
     /// ingress lane with live backpressure.
-    fn step(&mut self, now: Cycle, memory: &mut MemoryStage) {
+    pub fn step(&mut self, now: Cycle, memory: &mut MemoryStage) {
         self.xbar.step(now, |out, vc, req| {
             memory.partition_mut(out).try_accept(vc, *req)
         });
-    }
-
-    fn next_activity_cycle(&self, now: Cycle) -> Option<Cycle> {
-        self.xbar.next_activity_cycle(now)
     }
 }

@@ -87,17 +87,6 @@ impl Simulator {
         agg
     }
 
-    /// Fills and writebacks are internal; MEM arrivals at the MC summed
-    /// over channels.
-    pub fn total_mem_arrivals(&self) -> u64 {
-        self.partitions().map(|p| p.mc.stats().mem_arrivals).sum()
-    }
-
-    /// PIM arrivals at the MC summed over channels.
-    pub fn total_pim_arrivals(&self) -> u64 {
-        self.partitions().map(|p| p.mc.stats().pim_arrivals).sum()
-    }
-
     /// Merged DRAM command counters across channels (energy accounting).
     pub fn merged_channel_stats(&self) -> pimsim_dram::ChannelStats {
         self.merged(|p| p.mc.channel_stats())
@@ -136,11 +125,5 @@ impl Simulator {
             self.dram_cycles() * self.memory.channel_count() as u64,
             self.cfg.dram.banks as u32,
         )
-    }
-
-    /// Total DRAM energy under the configured backend's own coefficients
-    /// (HBM-class vs. LPDDR5X-class), via the backend registry.
-    pub fn backend_energy(&self) -> pimsim_dram::EnergyBreakdown {
-        self.total_energy(&pimsim_dram::backend::energy_for(&self.cfg))
     }
 }

@@ -21,8 +21,8 @@ use pimsim_types::{Cycle, SystemConfig};
 
 use crate::partition::Partition;
 use crate::pipeline::{
-    check_kernel_completion, CompletionStage, Component, IssueCtx, IssueStage, MemoryStage,
-    ReplyNet, ReplyNetCtx, RequestNet,
+    check_kernel_completion, CompletionStage, IssueCtx, IssueStage, MemoryStage, ReplyNet,
+    ReplyNetCtx, RequestNet,
 };
 
 pub use crate::pipeline::{CycleBudgetExceeded, MountedKernel};
@@ -229,9 +229,10 @@ impl Simulator {
     /// Enables or disables retire-time ack batching (on by default).
     /// With it on, each controller emits a burst plan's completions as
     /// one timestamped batch at retire time, the partitions hold them in
-    /// a time-ordered schedule, and a partition lags through whole plan
-    /// / stall windows instead of ticking through them — each ack still
-    /// becomes *observable* at its exact analytic cycle (DESIGN.md §4k).
+    /// a time-ordered schedule, and a partition that holds no MEM work
+    /// lags the memory stage until it is next observed instead of
+    /// ticking — each ack still becomes *observable* at its exact
+    /// analytic cycle (DESIGN.md §4k).
     /// With it off, every completion is produced by a per-tick
     /// controller step and no partition ever lags — the eager oracle.
     /// Both modes produce bit-identical observables (cycle counts,
@@ -400,9 +401,9 @@ impl Simulator {
         // 3+4. The memory stage's whole cycle: L2 front halves (GPU
         // clock) plus every pending DRAM tick (exact integer rational
         // coupling), in one pass over the active partitions, and the
-        // clocks' advance past it. A partition whose bulk horizon covers
-        // the visit lags through it instead and is caught up, through
-        // the exact live code paths, where its state is next observed
+        // clocks' advance past it. A partition that holds no MEM work
+        // lags through the visit instead and is caught up, through the
+        // exact live code paths, where its state is next observed
         // (DESIGN.md §4k). A cycle counts as a memory-stage tick only if
         // some partition stepped live: that asymmetry *is* the measured
         // win (the `ticks_memory` gate).

@@ -566,14 +566,6 @@ impl SystemConfig {
         den /= gcd;
         (num, den)
     }
-
-    /// Bytes addressable per channel under the current geometry.
-    pub fn bytes_per_channel(&self) -> u64 {
-        self.dram.banks as u64
-            * u64::from(self.dram.rows_per_bank)
-            * u64::from(self.dram.cols_per_row)
-            * self.dram_word_bytes() as u64
-    }
 }
 
 fn pattern_counts(p: &str) -> (usize, usize, usize, usize) {

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Tier-1 gate: formatting, release build (examples included), full test
-# suite, and lint-clean clippy.
+# suite, lint-clean clippy and warning-free rustdoc.
 # Run from the repository root. Fails fast on the first broken step.
 # Pass --slow to also run the #[ignore]d long-horizon experiment tests
 # (release mode; adds a few minutes).
@@ -20,6 +20,9 @@ cargo build --release --workspace
 cargo build --examples --workspace
 cargo test -q --workspace
 cargo clippy --all-targets --workspace -- -D warnings
+# Rustdoc gate: a doc link to a renamed, deleted or private item fails
+# here rather than rotting silently.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
 # Golden pass, per backend, in release (the debug run above skips the
 # full matrices): the HBM matrix must match
@@ -54,8 +57,9 @@ cargo run -q --release -p pimsim-cli --bin pimsim -- \
 # The hotloop binary itself also fails the smoke when a deterministic
 # counter moves the wrong way against BENCH_hotloop.json on any
 # scenario: fewer fast-forward skips; more memory-stage, reply-network
-# or completion-stage ticks; more controller full steps; or fewer memo
-# replays, plan-retired cycles or burst plans (DESIGN.md §4g-§4k). It
+# or completion-stage ticks; more replayed partition visits; more
+# controller full steps; or fewer memo replays, plan-retired cycles or
+# burst plans (DESIGN.md §4g-§4k). It
 # also fails if burst retirement disengages (zero burst hit rate on
 # standalone_pim, §4h), if event-driven completion delivery disengages
 # (on standalone_pim the reply-net + completion stages must run at least

@@ -431,7 +431,7 @@ fn event_delivery_matches_eager_oracle() {
 /// with batching on (the default) controllers emit each burst plan's
 /// acks as one retire-time batch, partitions re-sort them into
 /// time-ordered delivery schedules, and each partition lags through
-/// whole visits behind its bulk horizon; with batching off every
+/// visits while it holds no MEM work; with batching off every
 /// completion goes through the per-tick heap and no partition ever lags
 /// (the eager oracle). Every observable — total cycles,
 /// injections, merged controller stats — must be bit-identical across
@@ -570,7 +570,9 @@ fn public_step_matches_eager_oracle_every_cycle() {
 /// exact, the probe must also see the same quiet spans whether or not
 /// ack batching defers memory visits. A stale summary (true for a whole
 /// deferral window after the reply network drained the wires) blocked
-/// almost every probe with batching on and none with it off.
+/// almost every probe with batching on and none with it off. And since a
+/// partition holding MEM work never lags (DESIGN.md §4k), no partition of
+/// this MEM-only run lags the memory stage at all.
 #[test]
 fn mem_sparse_fast_forward_is_batching_independent() {
     let run = |acks: bool| {
@@ -580,19 +582,21 @@ fn mem_sparse_fast_forward_is_batching_independent() {
         let slots = k.num_slots();
         sim.mount(Box::new(k), (0..slots).collect(), false, false);
         let cycles = sim.run_until_all_first_done(BUDGET).expect("finishes");
-        (cycles, sim.fast_forward_stats())
+        let replays = sim.merged_step_mix().replay_batches;
+        ((cycles, sim.fast_forward_stats()), replays)
     };
-    let eager = run(false);
+    let (eager, _) = run(false);
     let (cycles, (_, skipped)) = eager;
     assert!(
         skipped as f64 >= 0.5 * cycles as f64,
         "fast-forward covered {skipped} of {cycles} cycles: {eager:?}"
     );
+    let (lazy, replays) = run(true);
     assert_eq!(
-        run(true),
-        eager,
+        lazy, eager,
         "(cycles, (skips, skipped cycles)) with ack batching on"
     );
+    assert_eq!(replays, 0, "a partition of a MEM-only run lagged");
 }
 
 #[test]
