@@ -1,8 +1,9 @@
 //! Fast-path ablation: what each remaining exact shortcut is worth in
-//! wall clock, measured by switching it off. Written to
-//! `BENCH_ablation.json`. The scenarios are `hotloop`'s: standalone MEM,
-//! standalone PIM on both DRAM backends, throttled (sparse) PIM on both
-//! backends, and F3FS competitive co-execution.
+//! wall clock, measured by switching it off, and what the whole stack is
+//! worth, measured against `Runner::reference` (every fast path off).
+//! Written to `BENCH_ablation.json`. The scenarios are `hotloop`'s:
+//! standalone MEM, standalone PIM on both DRAM backends, throttled
+//! (sparse) PIM on both backends, and F3FS competitive co-execution.
 //!
 //! Run with `cargo run --release --bin ablation`. For every scenario and
 //! every switch, the binary runs `PAIRS` in-process pairs of the default
@@ -26,8 +27,8 @@ use pimsim_sim::Runner;
 /// Interleaved pairs per scenario and switch.
 const PAIRS: usize = 30;
 
-/// A change to the default runner: the identity for the default, or one
-/// fast path switched off.
+/// A change to the default runner: the identity for the default, one
+/// fast path switched off, or the swap to the reference.
 type Switch = fn(&mut Runner);
 
 /// Runs scenario `name` once under `switch`; returns the simulated
@@ -65,8 +66,12 @@ fn main() {
     let default: Switch = |_| {};
     let switches: [(&str, Switch); 3] = [
         ("fast_forward_off", |r| r.fast_forward = false),
-        ("event_delivery_off", |r| r.event_delivery = false),
         ("ack_batching_off", |r| r.ack_batching = false),
+        ("reference", |r| {
+            let mut reference = Runner::reference(r.system.clone(), r.policy);
+            reference.max_gpu_cycles = r.max_gpu_cycles;
+            *r = reference;
+        }),
     ];
     let mut entries = Vec::new();
     for name in HOTLOOP_SCENARIOS {

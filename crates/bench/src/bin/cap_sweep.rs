@@ -5,7 +5,7 @@
 //! representative kernel subset, reporting fairness and throughput — the
 //! study that selected this reproduction's default CAP of 32.
 
-use pimsim_bench::{header, BenchArgs};
+use pimsim_bench::{header, or_exit, BenchArgs};
 use pimsim_core::PolicyKind;
 use pimsim_sim::experiments::competitive::{run_competitive, CompetitiveConfig};
 use pimsim_stats::table::{f3, Table};
@@ -46,7 +46,7 @@ fn main() {
         cfg.pims.len(),
         args.scale
     );
-    let report = run_competitive(&cfg);
+    let report = or_exit(run_competitive(&cfg));
 
     header("F3FS CAP sensitivity (competitive)");
     let mut t = Table::new(vec![

@@ -4,7 +4,7 @@
 //! policy ranking flips: MEM-favoring behavior wastes the critical path
 //! and PIM-favoring behavior approaches the ideal.
 
-use pimsim_bench::{header, BenchArgs};
+use pimsim_bench::{header, or_exit, BenchArgs};
 use pimsim_core::PolicyKind;
 use pimsim_sim::{CollabOutcome, Runner};
 use pimsim_stats::table::{f3, Table};
@@ -17,17 +17,14 @@ fn main() {
     let outstanding = system.gpu.max_outstanding_pim_per_warp as u32;
     let mk = || fft_scenario(72, 32, 4, outstanding, args.scale);
 
-    let solo = Runner::new(system.clone(), PolicyKind::FrFcfs);
+    // Standalone references get four times the budget, as in the
+    // experiment drivers.
+    let mut solo = Runner::new(system.clone(), PolicyKind::FrFcfs);
+    solo.max_gpu_cycles = args.budget * 4;
     let s = mk();
-    let gpu_alone = solo
-        .standalone(Box::new(s.transpose), 8, false)
-        .expect("transpose standalone")
-        .cycles;
+    let gpu_alone = or_exit(solo.standalone(Box::new(s.transpose), 8, false)).cycles;
     let s = mk();
-    let pim_alone = solo
-        .standalone(Box::new(s.butterflies), 0, true)
-        .expect("butterfly standalone")
-        .cycles;
+    let pim_alone = or_exit(solo.standalone(Box::new(s.butterflies), 0, true)).cycles;
     let ideal = CollabOutcome::ideal_speedup(gpu_alone, pim_alone);
 
     header("FFT collaborative scenario (PIM is the longer stage)");

@@ -2,7 +2,7 @@
 //! (tFAW, tWTR, refresh) on the headline co-execution metrics, verifying
 //! that the paper's simplified timing set does not change the story.
 
-use pimsim_bench::{header, BenchArgs};
+use pimsim_bench::{header, or_exit, BenchArgs};
 use pimsim_core::PolicyKind;
 use pimsim_sim::experiments::competitive::{run_competitive, CompetitiveConfig};
 use pimsim_stats::table::{f3, Table};
@@ -56,7 +56,7 @@ fn main() {
         cfg.gpus = vec![8, 11, 17].into_iter().map(GpuBenchmark).collect();
         cfg.pims = vec![1, 4].into_iter().map(PimBenchmark).collect();
         eprintln!("{label}...");
-        let report = run_competitive(&cfg);
+        let report = or_exit(run_competitive(&cfg));
         t.row(vec![
             label.into(),
             f3(report.mean_fairness(PolicyKind::FrFcfs, VcMode::Shared)),

@@ -3,7 +3,7 @@
 //! (b) additional MEM conflicts per MEM→PIM switch (arithmetic mean),
 //! (c) MEM drain latency per switch in DRAM cycles (arithmetic mean).
 
-use pimsim_bench::{header, BenchArgs};
+use pimsim_bench::{header, or_exit, BenchArgs};
 use pimsim_sim::experiments::competitive::{run_competitive, CompetitiveConfig};
 use pimsim_stats::table::{f2, f3, Table};
 use pimsim_types::VcMode;
@@ -28,7 +28,7 @@ fn main() {
         cfg.vcs.len(),
         args.scale
     );
-    let report = run_competitive(&cfg);
+    let report = or_exit(run_competitive(&cfg));
 
     header("Figure 10a: mode switches normalized to FCFS (geomean across combinations)");
     let mut t = Table::new(vec!["policy".into(), "VC1".into(), "VC2".into()]);

@@ -2,7 +2,7 @@
 //! each policy with both VC configurations, normalized to sequential
 //! execution, against the ideal perfect-overlap bound.
 
-use pimsim_bench::{header, BenchArgs};
+use pimsim_bench::{header, or_exit, BenchArgs};
 use pimsim_sim::experiments::collaborative::run_collaborative;
 use pimsim_stats::table::{f3, Table};
 use pimsim_types::VcMode;
@@ -13,7 +13,7 @@ fn main() {
         "running the collaborative LLM scenario (scale {})...",
         args.scale
     );
-    let report = run_collaborative(&args.system(), args.scale, args.budget);
+    let report = or_exit(run_collaborative(&args.system(), args.scale, args.budget));
 
     header("Figure 11: LLM speedup over sequential execution");
     println!(

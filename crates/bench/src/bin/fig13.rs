@@ -2,7 +2,7 @@
 //! and four memory-intensive kernels (G6, G11, G17, G19), averaged across
 //! all PIM kernels — the orthogonal slice of Figure 8.
 
-use pimsim_bench::{header, BenchArgs};
+use pimsim_bench::{header, or_exit, BenchArgs};
 use pimsim_sim::experiments::competitive::{run_competitive, CompetitiveConfig};
 use pimsim_stats::table::{f3, Table};
 use pimsim_types::VcMode;
@@ -23,7 +23,7 @@ fn main() {
         cfg.policies.len(),
         args.scale
     );
-    let report = run_competitive(&cfg);
+    let report = or_exit(run_competitive(&cfg));
 
     use pimsim_sim::experiments::competitive::CompetitivePoint;
     type Metric = fn(&CompetitivePoint) -> f64;

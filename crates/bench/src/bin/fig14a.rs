@@ -5,7 +5,7 @@
 //! evaluated on P2 (Stream Copy) across all GPU kernels plus the LLM,
 //! under the VC2 configuration.
 
-use pimsim_bench::{header, BenchArgs};
+use pimsim_bench::{header, or_exit, BenchArgs};
 use pimsim_core::PolicyKind;
 use pimsim_sim::experiments::collaborative::run_collaborative;
 use pimsim_sim::experiments::competitive::{run_competitive, CompetitiveConfig};
@@ -63,10 +63,10 @@ fn main() {
         "running Figure 14a ablation (P2 x {} GPU kernels + LLM)...",
         cfg.gpus.len()
     );
-    let competitive = run_competitive(&cfg);
+    let competitive = or_exit(run_competitive(&cfg));
 
     // LLM half: rerun the collaborative scenario per stage.
-    let llm = run_collaborative(&args.system(), args.scale, args.budget);
+    let llm = or_exit(run_collaborative(&args.system(), args.scale, args.budget));
     let llm_for = |policy: PolicyKind| -> Option<f64> {
         // The collaborative driver includes the baselines and the tuned
         // F3FS; compute missing stages directly.

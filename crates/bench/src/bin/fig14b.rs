@@ -2,7 +2,7 @@
 //! the VC2 configuration — fairness index and system throughput with the
 //! input buffers at half (256), baseline (512), and double (1024) size.
 
-use pimsim_bench::{header, BenchArgs};
+use pimsim_bench::{header, or_exit, BenchArgs};
 use pimsim_core::PolicyKind;
 use pimsim_sim::experiments::competitive::{run_competitive, CompetitiveConfig};
 use pimsim_stats::table::{f3, Table};
@@ -36,7 +36,7 @@ fn main() {
             cfg.gpus.len(),
             cfg.pims.len()
         );
-        let report = run_competitive(&cfg);
+        let report = or_exit(run_competitive(&cfg));
         t.row(vec![
             queue.to_string(),
             f3(report.mean_fairness(PolicyKind::f3fs_competitive(), VcMode::SplitPim)),

@@ -2,7 +2,7 @@
 //! SMs) and the PIM kernels — box plots of interconnect arrival rate, DRAM
 //! arrival rate, bank-level parallelism, and row-buffer hit rate.
 
-use pimsim_bench::{fmt_box, header, BenchArgs};
+use pimsim_bench::{fmt_box, header, or_exit, BenchArgs};
 use pimsim_sim::experiments::characterization::characterize;
 use pimsim_stats::table::Table;
 
@@ -12,7 +12,7 @@ fn main() {
         "running 49 standalone characterization simulations (scale {})...",
         args.scale
     );
-    let report = characterize(&args.system(), args.scale, args.budget);
+    let report = or_exit(characterize(&args.system(), args.scale, args.budget));
 
     for (title, boxes) in [
         (

@@ -5,7 +5,7 @@
 //! The paper's result: the suite slows by ~60% with P1 vs. a worst case of
 //! ~30% with any Rodinia co-runner.
 
-use pimsim_bench::{header, BenchArgs};
+use pimsim_bench::{header, or_exit, BenchArgs};
 use pimsim_sim::experiments::interference::run_interference;
 use pimsim_stats::table::{f3, Table};
 
@@ -15,7 +15,7 @@ fn main() {
         "running Figure 5 interference sweep (20 victims x 6 co-runners, scale {})...",
         args.scale
     );
-    let bars = run_interference(&args.system(), args.scale, args.budget);
+    let bars = or_exit(run_interference(&args.system(), args.scale, args.budget));
     header("Figure 5: average Rodinia speedup on 72 SMs vs. co-runner (normalized to 80-SM standalone)");
     let mut t = Table::new(vec!["co-runner (on 8 SMs)".into(), "avg speedup".into()]);
     for b in &bars {

@@ -3,7 +3,7 @@
 //! scheduling policy, without (a) and with (b) separate MEM/PIM virtual
 //! channels.
 
-use pimsim_bench::{header, BenchArgs};
+use pimsim_bench::{header, or_exit, BenchArgs};
 use pimsim_core::PolicyKind;
 use pimsim_sim::experiments::competitive::{run_competitive, CompetitiveConfig};
 use pimsim_stats::table::{f2, Table};
@@ -29,7 +29,7 @@ fn main() {
         cfg.vcs.len(),
         args.scale
     );
-    let report = run_competitive(&cfg);
+    let report = or_exit(run_competitive(&cfg));
 
     for vc in [VcMode::Shared, VcMode::SplitPim] {
         header(&format!(

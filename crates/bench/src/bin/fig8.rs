@@ -2,7 +2,7 @@
 //! kernel under every scheduling policy and VC configuration, averaged
 //! across all GPU kernels.
 
-use pimsim_bench::{header, BenchArgs};
+use pimsim_bench::{header, or_exit, BenchArgs};
 use pimsim_sim::experiments::competitive::{run_competitive, CompetitiveConfig};
 use pimsim_stats::table::{f3, Table};
 use pimsim_types::VcMode;
@@ -25,7 +25,7 @@ fn main() {
         cfg.vcs.len(),
         args.scale
     );
-    let report = run_competitive(&cfg);
+    let report = or_exit(run_competitive(&cfg));
     if let Some(path) = &args.csv {
         pimsim_bench::write_competitive_csv(path, &report.points)
             .unwrap_or_else(|e| eprintln!("csv write failed: {e}"));

@@ -6,10 +6,10 @@
 //! regular GPU kernels: I-poly spreads pathological strides across
 //! channels, so some kernels lose performance under the regular mapping.
 
-use pimsim_bench::{header, BenchArgs};
+use pimsim_bench::{header, or_exit, BenchArgs};
 use pimsim_core::PolicyKind;
 use pimsim_sim::experiments::sweep::parallel_map;
-use pimsim_sim::Runner;
+use pimsim_sim::{CycleBudgetExceeded, Runner};
 use pimsim_stats::table::{f2, Table};
 use pimsim_types::AddressMapConfig;
 use pimsim_workloads::{gpu_kernel, rodinia::GpuBenchmark};
@@ -42,11 +42,14 @@ fn main() {
         }
         let mut runner = Runner::new(sys, PolicyKind::FrFcfs);
         runner.max_gpu_cycles = budget * 4;
-        let out = runner
-            .standalone(Box::new(gpu_kernel(g, 80, scale)), 0, false)
-            .unwrap_or_else(|e| panic!("{g}: {e}"));
-        (g, ipoly, out.cycles, out.mc.avg_blp().unwrap_or(0.0))
+        let out = runner.standalone(Box::new(gpu_kernel(g, 80, scale)), 0, false)?;
+        Ok((g, ipoly, out.cycles, out.mc.avg_blp().unwrap_or(0.0)))
     });
+    let results: Vec<_> = or_exit(
+        results
+            .into_iter()
+            .collect::<Result<_, CycleBudgetExceeded>>(),
+    );
 
     header("GPU-80 standalone: Table I bit-sliced mapping vs. I-poly hashing");
     let mut t = Table::new(vec![

@@ -6,7 +6,7 @@
 //! feed on, hurting high-RBHR kernels most, and flattens the difference
 //! between FR-FCFS and FCFS-like behavior.
 
-use pimsim_bench::{header, BenchArgs};
+use pimsim_bench::{header, or_exit, BenchArgs};
 use pimsim_core::PolicyKind;
 use pimsim_sim::experiments::competitive::{run_competitive, CompetitiveConfig};
 use pimsim_stats::table::{f3, Table};
@@ -36,7 +36,7 @@ fn main() {
         cfg.gpus = vec![8, 17, 19].into_iter().map(GpuBenchmark).collect();
         cfg.pims = vec![1, 4].into_iter().map(PimBenchmark).collect();
         eprintln!("{label}...");
-        let report = run_competitive(&cfg);
+        let report = or_exit(run_competitive(&cfg));
         t.row(vec![
             label.into(),
             f3(report.mean_fairness(PolicyKind::FrFcfs, VcMode::Shared)),

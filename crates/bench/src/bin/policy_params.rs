@@ -6,7 +6,7 @@
 //! * G&I high/low watermarks (paper: 56/32);
 //! * FR-FCFS-Cap row-hit cap (paper: 32).
 
-use pimsim_bench::{header, BenchArgs};
+use pimsim_bench::{header, or_exit, BenchArgs};
 use pimsim_core::PolicyKind;
 use pimsim_sim::experiments::competitive::{run_competitive, CompetitiveConfig};
 use pimsim_stats::table::{f3, Table};
@@ -21,7 +21,7 @@ fn sweep(args: &BenchArgs, title: &str, policies: Vec<(String, PolicyKind)>) {
     cfg.pims = vec![1, 2, 4, 7].into_iter().map(PimBenchmark).collect();
     cfg.vcs = vec![VcMode::Shared];
     eprintln!("{title}: {} settings x 16 kernel pairs...", policies.len());
-    let report = run_competitive(&cfg);
+    let report = or_exit(run_competitive(&cfg));
     header(title);
     let mut t = Table::new(vec![
         "setting".into(),

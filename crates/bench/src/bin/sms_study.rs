@@ -5,7 +5,7 @@
 //! the claim becomes measurable: SMS must trail F3FS (and FR-FCFS) on
 //! throughput because every batch boundary is a full mode switch.
 
-use pimsim_bench::{header, BenchArgs};
+use pimsim_bench::{header, or_exit, BenchArgs};
 use pimsim_core::PolicyKind;
 use pimsim_sim::experiments::competitive::{run_competitive, CompetitiveConfig};
 use pimsim_stats::table::{f3, Table};
@@ -57,7 +57,7 @@ fn main() {
         policies.len(),
         args.scale
     );
-    let report = run_competitive(&cfg);
+    let report = or_exit(run_competitive(&cfg));
 
     header("SMS-lite vs. the PIM-aware policies");
     let mut t = Table::new(vec![

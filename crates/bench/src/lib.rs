@@ -97,6 +97,15 @@ impl BenchArgs {
     }
 }
 
+/// Unwraps a figure driver's result, or prints its error (a cycle-budget
+/// overrun) and exits with status 1, the CLI's runtime-error code.
+pub fn or_exit<T, E: std::fmt::Display>(result: Result<T, E>) -> T {
+    result.unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(1)
+    })
+}
+
 fn usage(msg: &str) -> ! {
     if !msg.is_empty() {
         eprintln!("error: {msg}");

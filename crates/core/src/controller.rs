@@ -461,9 +461,8 @@ impl MemoryController {
     /// this level — only an owner that harvests `pop_batched_ack` into a
     /// time-ordered delivery schedule (the simulator's partition) may
     /// turn it on; with it off every PIM completion goes through the
-    /// per-tick `completions` heap — the eager oracle the
-    /// `ack_batching_matches_per_tick_oracle` test compares the batched
-    /// path against. Call before stepping.
+    /// per-tick `completions` heap, as in the simulator's reference run.
+    /// Call before stepping.
     ///
     /// # Panics
     ///

@@ -74,31 +74,6 @@ pub trait KernelModel: Send {
         let _ = slot;
         Some(now)
     }
-
-    /// Whether withholding completion delivery past the end of this cycle
-    /// could change the kernel's observable behavior.
-    ///
-    /// The event-driven completion path accumulates acknowledgements in
-    /// the partitions' ack wires and only retires them when some consumer
-    /// can tell the difference. A kernel must answer `true` while either
-    /// holds:
-    ///
-    /// * **throttle wake** — some slot's issue decision depends on its
-    ///   outstanding count (a warp at its credit cap would issue once an
-    ///   ack lands), or
-    /// * **completion tail** — all work has been issued, so `is_done`
-    ///   (polled every cycle) now advances only through completions.
-    ///
-    /// While `false`, [`KernelModel::on_complete`] must be insensitive to
-    /// batching and to its `now` argument: applying the pending acks later
-    /// (but before the next issue decision that could observe them) must
-    /// produce the same state as applying them each cycle. The default
-    /// `true` keeps unknown models on the per-cycle delivery schedule,
-    /// which is always sound.
-    fn wants_completions(&self, now: Cycle) -> bool {
-        let _ = now;
-        true
-    }
 }
 
 #[cfg(test)]

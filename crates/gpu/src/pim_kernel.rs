@@ -134,11 +134,6 @@ pub struct PimKernelModel {
     inflight: HashMap<u64, usize>,
     issued: u64,
     completed: u64,
-    /// Warps currently at their outstanding-store cap. Maintained
-    /// incrementally so [`KernelModel::wants_completions`] is O(1): a
-    /// warp enters on the issue that fills its last credit and leaves on
-    /// the ack that frees one.
-    warps_at_cap: usize,
 }
 
 impl PimKernelModel {
@@ -183,7 +178,6 @@ impl PimKernelModel {
             inflight: HashMap::new(),
             issued: 0,
             completed: 0,
-            warps_at_cap: 0,
         }
     }
 
@@ -236,9 +230,6 @@ impl KernelModel for PimKernelModel {
             let cmd = self.make_command(&self.warps[wi]);
             let w = &mut self.warps[wi];
             w.outstanding += 1;
-            if w.outstanding == self.max_outstanding {
-                self.warps_at_cap += 1;
-            }
             w.next_op += 1;
             if u64::from(w.next_op) >= u64::from(self.spec.ops_per_block) {
                 w.next_op = 0;
@@ -268,10 +259,6 @@ impl KernelModel for PimKernelModel {
             .unwrap_or_else(|| panic!("completion for unknown PIM request {id}"));
         let w = &mut self.warps[wi];
         debug_assert!(w.outstanding > 0);
-        if w.outstanding == self.max_outstanding {
-            debug_assert!(self.warps_at_cap > 0);
-            self.warps_at_cap -= 1;
-        }
         w.outstanding -= 1;
         self.completed += 1;
     }
@@ -295,7 +282,6 @@ impl KernelModel for PimKernelModel {
         self.inflight.clear();
         self.issued = 0;
         self.completed = 0;
-        self.warps_at_cap = 0;
     }
 
     fn next_issue_cycle(&self, slot: usize, now: Cycle) -> Option<Cycle> {
@@ -307,15 +293,6 @@ impl KernelModel for PimKernelModel {
             .iter()
             .any(|w| !w.done_issuing)
             .then_some(now)
-    }
-
-    fn wants_completions(&self, _now: Cycle) -> bool {
-        // Throttle wake: a warp at its credit cap would issue the moment
-        // an ack lands. Completion tail: with everything issued, `is_done`
-        // advances only through acks. Otherwise acks only decrement
-        // below-cap outstanding counters — invisible to `try_issue` — so
-        // delivery can be deferred.
-        self.warps_at_cap > 0 || self.issued == self.total_requests()
     }
 }
 
@@ -485,52 +462,5 @@ mod tests {
     fn unknown_completion_panics() {
         let mut k = model();
         k.on_complete(0, RequestId(12345), 0);
-    }
-
-    #[test]
-    fn wants_completions_tracks_cap_and_tail() {
-        // Cap 2 per warp: filling a warp's credits must flip the wake on,
-        // and freeing one must flip it back off.
-        let mut k = PimKernelModel::new(spec(), 2, 4, 2);
-        assert!(!k.wants_completions(0), "fresh kernel has slack");
-        let mut ids = Vec::new();
-        for n in 0..8u64 {
-            assert!(k.try_issue(0, n, RequestId(n)).is_some());
-            ids.push(RequestId(n));
-        }
-        assert!(
-            k.wants_completions(8),
-            "all slot-0 warps at cap must request delivery"
-        );
-        k.on_complete(0, ids[0], 9);
-        // One warp regained a credit, but three are still capped.
-        assert!(k.wants_completions(9));
-        for id in &ids[1..] {
-            k.on_complete(0, *id, 10);
-        }
-        assert!(!k.wants_completions(10), "credits restored, slack again");
-    }
-
-    #[test]
-    fn wants_completions_in_tail_until_reset() {
-        // Issue everything (cap high enough to never throttle): the tail
-        // must demand per-cycle delivery so `is_done` flips on schedule.
-        let mut k = PimKernelModel::new(spec(), 2, 4, 64);
-        let total = k.total_requests();
-        let mut id = 0u64;
-        while id < total {
-            for slot in 0..2 {
-                if k.try_issue(slot, id, RequestId(id)).is_some() {
-                    id += 1;
-                }
-            }
-        }
-        assert!(k.wants_completions(0), "fully issued kernel is in tail");
-        for n in 0..total {
-            k.on_complete(0, RequestId(n), n);
-        }
-        assert!(k.is_done());
-        k.reset();
-        assert!(!k.wants_completions(0), "reset restores deferral slack");
     }
 }

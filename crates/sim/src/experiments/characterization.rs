@@ -3,11 +3,13 @@
 //! arrival rate, bank-level parallelism, and row-buffer hit rate.
 
 use pimsim_core::PolicyKind;
+use pimsim_gpu::KernelModel;
 use pimsim_stats::{FiveNumber, Samples};
 use pimsim_types::SystemConfig;
 use pimsim_workloads::{gpu_kernel, pim_kernel, pim_suite::PimBenchmark, rodinia::GpuBenchmark};
 
 use crate::runner::Runner;
+use crate::system::CycleBudgetExceeded;
 
 use super::sweep::parallel_map;
 
@@ -90,10 +92,14 @@ impl CharacterizationReport {
 /// Runs the 49 standalone characterization simulations (20 Rodinia × two
 /// SM counts, 9 PIM kernels) under FR-FCFS / VC1, in parallel.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if any standalone run exceeds `budget` GPU cycles.
-pub fn characterize(system: &SystemConfig, scale: f64, budget: u64) -> CharacterizationReport {
+/// [`CycleBudgetExceeded`] if a standalone run overruns `budget`.
+pub fn characterize(
+    system: &SystemConfig,
+    scale: f64,
+    budget: u64,
+) -> Result<CharacterizationReport, CycleBudgetExceeded> {
     #[derive(Clone, Copy)]
     enum Job {
         Gpu(GpuBenchmark, usize),
@@ -114,63 +120,46 @@ pub fn characterize(system: &SystemConfig, scale: f64, budget: u64) -> Character
     let profiles = parallel_map(jobs, move |job| {
         let mut runner = Runner::new(sys.clone(), PolicyKind::FrFcfs);
         runner.max_gpu_cycles = budget;
-        match job {
-            Job::Gpu(b, sms) => {
-                let k = gpu_kernel(b, sms, scale);
-                let out = runner
-                    .standalone(Box::new(k), 0, false)
-                    .unwrap_or_else(|e| panic!("standalone {b} on {sms} SMs: {e}"));
-                (
-                    job_key(job),
-                    KernelProfile {
-                        label: b.to_string(),
-                        icnt_rate: out.icnt_rate(),
-                        dram_rate: out.dram_rate(),
-                        blp: out.mc.avg_blp().unwrap_or(0.0),
-                        rbhr: out.mc.mem_rbhr().unwrap_or(0.0),
-                        cycles: out.cycles,
-                    },
-                )
-            }
-            Job::Pim(b) => {
-                let k = pim_kernel(b, channels, warps, outstanding, scale);
-                let out = runner
-                    .standalone(Box::new(k), 0, true)
-                    .unwrap_or_else(|e| panic!("standalone {b}: {e}"));
-                (
-                    job_key(job),
-                    KernelProfile {
-                        label: b.to_string(),
-                        icnt_rate: out.icnt_rate(),
-                        dram_rate: out.dram_rate(),
-                        blp: out.mc.avg_blp().unwrap_or(0.0),
-                        rbhr: out.mc.pim_rbhr().unwrap_or(0.0),
-                        cycles: out.cycles,
-                    },
-                )
-            }
-        }
+        let (label, kernel, is_pim): (_, Box<dyn KernelModel>, _) = match job {
+            Job::Gpu(b, sms) => (b.to_string(), Box::new(gpu_kernel(b, sms, scale)), false),
+            Job::Pim(b) => (
+                b.to_string(),
+                Box::new(pim_kernel(b, channels, warps, outstanding, scale)),
+                true,
+            ),
+        };
+        let out = runner.standalone(kernel, 0, is_pim)?;
+        let rbhr = if is_pim {
+            out.mc.pim_rbhr()
+        } else {
+            out.mc.mem_rbhr()
+        };
+        Ok((
+            job,
+            KernelProfile {
+                label,
+                icnt_rate: out.icnt_rate(),
+                dram_rate: out.dram_rate(),
+                blp: out.mc.avg_blp().unwrap_or(0.0),
+                rbhr: rbhr.unwrap_or(0.0),
+                cycles: out.cycles,
+            },
+        ))
     });
-    fn job_key(job: Job) -> u8 {
-        match job {
-            Job::Gpu(_, 80) => 0,
-            Job::Gpu(_, _) => 1,
-            Job::Pim(_) => 2,
-        }
-    }
     let mut report = CharacterizationReport {
         gpu80: Vec::new(),
         gpu8: Vec::new(),
         pim: Vec::new(),
     };
-    for (key, p) in profiles {
-        match key {
-            0 => report.gpu80.push(p),
-            1 => report.gpu8.push(p),
-            _ => report.pim.push(p),
+    for profile in profiles {
+        let (job, p) = profile?;
+        match job {
+            Job::Gpu(_, 80) => report.gpu80.push(p),
+            Job::Gpu(..) => report.gpu8.push(p),
+            Job::Pim(_) => report.pim.push(p),
         }
     }
-    report
+    Ok(report)
 }
 
 #[cfg(test)]
@@ -182,7 +171,7 @@ mod tests {
     #[test]
     fn pim_kernels_dominate_dram_arrivals_and_blp() {
         let system = SystemConfig::default();
-        let report = characterize(&system, 0.01, 20_000_000);
+        let report = characterize(&system, 0.01, 20_000_000).expect("finishes");
         assert_eq!(report.gpu80.len(), 20);
         assert_eq!(report.gpu8.len(), 20);
         assert_eq!(report.pim.len(), 9);
@@ -206,5 +195,10 @@ mod tests {
         // PIM row locality is high (block structure).
         let rbhr = report.rbhr_boxes();
         assert!(rbhr.pim.median > 0.7, "PIM RBHR median {}", rbhr.pim.median);
+    }
+
+    #[test]
+    fn budget_overrun_is_an_error() {
+        assert!(characterize(&SystemConfig::default(), 0.01, 0).is_err());
     }
 }

@@ -8,6 +8,7 @@ use pimsim_types::{SystemConfig, VcMode};
 use pimsim_workloads::llm::{mha_spec, qkv_params};
 
 use crate::runner::Runner;
+use crate::system::CycleBudgetExceeded;
 
 use super::sweep::parallel_map;
 
@@ -71,17 +72,23 @@ pub fn f3fs_llm_caps(vc: VcMode) -> PolicyKind {
 
 /// Runs the collaborative scenario for every (policy, vc), substituting
 /// the LLM-tuned F3FS CAPs for the generic competitive ones.
-pub fn run_collaborative(system: &SystemConfig, scale: f64, budget: u64) -> CollabReport {
+///
+/// # Errors
+///
+/// [`CycleBudgetExceeded`] if QKV or MHA alone overruns `4 * budget`.
+pub fn run_collaborative(
+    system: &SystemConfig,
+    scale: f64,
+    budget: u64,
+) -> Result<CollabReport, CycleBudgetExceeded> {
     // Standalone references (policy-independent; FR-FCFS used).
     let mut solo_runner = Runner::new(system.clone(), PolicyKind::FrFcfs);
     solo_runner.max_gpu_cycles = budget * 4;
     let qkv_alone = solo_runner
-        .standalone(Box::new(qkv(system, scale)), 8, false)
-        .expect("QKV standalone")
+        .standalone(Box::new(qkv(system, scale)), 8, false)?
         .cycles;
     let mha_alone = solo_runner
-        .standalone(Box::new(mha(system, scale)), 0, true)
-        .expect("MHA standalone")
+        .standalone(Box::new(mha(system, scale)), 0, true)?
         .cycles;
 
     let mut jobs = Vec::new();
@@ -113,12 +120,12 @@ pub fn run_collaborative(system: &SystemConfig, scale: f64, budget: u64) -> Coll
             speedup,
         }
     });
-    CollabReport {
+    Ok(CollabReport {
         points,
         qkv_alone,
         mha_alone,
         ideal: crate::runner::CollabOutcome::ideal_speedup(qkv_alone, mha_alone),
-    }
+    })
 }
 
 #[cfg(test)]
@@ -128,7 +135,8 @@ mod tests {
     #[test]
     #[ignore = "several seconds; run via `scripts/tier1.sh --slow` or the fig11 binary"]
     fn qkv_runs_longer_and_speedups_bounded_by_ideal() {
-        let report = run_collaborative(&SystemConfig::default(), 0.1, 20_000_000);
+        let report =
+            run_collaborative(&SystemConfig::default(), 0.1, 20_000_000).expect("finishes");
         // The scenario's premise: QKV (GPU) is the longer kernel.
         assert!(
             report.qkv_alone > report.mha_alone,
@@ -146,5 +154,10 @@ mod tests {
                 report.ideal
             );
         }
+    }
+
+    #[test]
+    fn budget_overrun_is_an_error() {
+        assert!(run_collaborative(&SystemConfig::default(), 0.01, 0).is_err());
     }
 }

@@ -12,6 +12,7 @@ use pimsim_types::{SystemConfig, VcMode};
 use pimsim_workloads::{gpu_kernel, pim_kernel, pim_suite::PimBenchmark, rodinia::GpuBenchmark};
 
 use crate::runner::Runner;
+use crate::system::CycleBudgetExceeded;
 
 use super::sweep::parallel_map;
 
@@ -144,7 +145,11 @@ impl CompetitiveReport {
 }
 
 /// Runs the standalone baselines for a sweep's kernels.
-pub fn run_baselines(cfg: &CompetitiveConfig) -> Baselines {
+///
+/// # Errors
+///
+/// [`CycleBudgetExceeded`] if a baseline overruns four times the budget.
+pub fn run_baselines(cfg: &CompetitiveConfig) -> Result<Baselines, CycleBudgetExceeded> {
     let system = cfg.system.clone();
     let channels = system.dram.channels;
     let warps = system.gpu.pim_warps_per_sm;
@@ -168,53 +173,44 @@ pub fn run_baselines(cfg: &CompetitiveConfig) -> Baselines {
     let results = parallel_map(jobs, move |job| {
         let mut runner = Runner::new(system.clone(), PolicyKind::FrFcfs);
         runner.max_gpu_cycles = budget * 4;
-        match job {
-            Job::Gpu80(b) => {
-                let out = runner
-                    .standalone(Box::new(gpu_kernel(b, 80, scale)), 0, false)
-                    .unwrap_or_else(|e| panic!("baseline {b}/80: {e}"));
-                (0u8, b.0, out.cycles, 0.0)
-            }
-            Job::Gpu72(b) => {
-                let out = runner
-                    .standalone(Box::new(gpu_kernel(b, 72, scale)), 8, false)
-                    .unwrap_or_else(|e| panic!("baseline {b}/72: {e}"));
-                let rate = out.mc.mem_arrivals as f64 * 1000.0 / out.cycles as f64;
-                (1u8, b.0, out.cycles, rate)
-            }
-            Job::Pim(b) => {
-                let out = runner
-                    .standalone(
-                        Box::new(pim_kernel(b, channels, warps, outstanding, scale)),
-                        0,
-                        true,
-                    )
-                    .unwrap_or_else(|e| panic!("baseline {b}: {e}"));
-                (2u8, b.0, out.cycles, 0.0)
-            }
-        }
+        let out = match job {
+            Job::Gpu80(b) => runner.standalone(Box::new(gpu_kernel(b, 80, scale)), 0, false),
+            Job::Gpu72(b) => runner.standalone(Box::new(gpu_kernel(b, 72, scale)), 8, false),
+            Job::Pim(b) => runner.standalone(
+                Box::new(pim_kernel(b, channels, warps, outstanding, scale)),
+                0,
+                true,
+            ),
+        };
+        out.map(|out| (job, out))
     });
     let mut baselines = Baselines::default();
-    for (kind, id, cycles, rate) in results {
-        match kind {
-            0 => {
-                baselines.gpu80.insert(id, cycles);
+    for result in results {
+        let (job, out) = result?;
+        match job {
+            Job::Gpu80(b) => {
+                baselines.gpu80.insert(b.0, out.cycles);
             }
-            1 => {
-                baselines.gpu72.insert(id, (cycles, rate));
+            Job::Gpu72(b) => {
+                let rate = out.mc.mem_arrivals as f64 * 1000.0 / out.cycles as f64;
+                baselines.gpu72.insert(b.0, (out.cycles, rate));
             }
-            _ => {
-                baselines.pim8.insert(id, cycles);
+            Job::Pim(b) => {
+                baselines.pim8.insert(b.0, out.cycles);
             }
         }
     }
-    baselines
+    Ok(baselines)
 }
 
 /// Runs the full competitive sweep (baselines plus every point), in
 /// parallel.
-pub fn run_competitive(cfg: &CompetitiveConfig) -> CompetitiveReport {
-    let baselines = run_baselines(cfg);
+///
+/// # Errors
+///
+/// [`CycleBudgetExceeded`] if a baseline overruns ([`run_baselines`]).
+pub fn run_competitive(cfg: &CompetitiveConfig) -> Result<CompetitiveReport, CycleBudgetExceeded> {
+    let baselines = run_baselines(cfg)?;
     let system = cfg.system.clone();
     let channels = system.dram.channels;
     let warps = system.gpu.pim_warps_per_sm;
@@ -265,7 +261,7 @@ pub fn run_competitive(cfg: &CompetitiveConfig) -> CompetitiveReport {
             drain_per_switch: out.mc.drain_latency_per_switch().unwrap_or(0.0),
         }
     });
-    CompetitiveReport { baselines, points }
+    Ok(CompetitiveReport { baselines, points })
 }
 
 #[cfg(test)]
@@ -293,7 +289,7 @@ mod tests {
 
     #[test]
     fn sweep_produces_every_point_with_sane_metrics() {
-        let report = run_competitive(&tiny_config());
+        let report = run_competitive(&tiny_config()).expect("baselines finish");
         assert_eq!(report.points.len(), 3 * 2);
         for p in &report.points {
             assert!((0.0..=1.0).contains(&p.fairness), "{p:?}");
@@ -314,5 +310,15 @@ mod tests {
             )
             .expect("FCFS present");
         assert!(f3 <= 1.0, "F3FS must not switch more than FCFS: {f3}");
+    }
+
+    #[test]
+    fn budget_overrun_is_an_error() {
+        let cfg = CompetitiveConfig {
+            budget: 0,
+            ..tiny_config()
+        };
+        assert!(run_baselines(&cfg).is_err());
+        assert!(run_competitive(&cfg).is_err());
     }
 }

@@ -14,6 +14,7 @@ use pimsim_workloads::{
 };
 
 use crate::runner::Runner;
+use crate::system::CycleBudgetExceeded;
 
 use super::sweep::parallel_map;
 
@@ -31,17 +32,26 @@ pub struct InterferenceBar {
 ///
 /// For every Rodinia kernel (on 72 SMs) × co-runner (on 8 SMs), measures
 /// the victim's first-run time and normalizes to its 80-SM standalone run.
-pub fn run_interference(system: &SystemConfig, scale: f64, budget: u64) -> Vec<InterferenceBar> {
+///
+/// # Errors
+///
+/// [`CycleBudgetExceeded`] if a standalone run overruns `4 * budget`.
+pub fn run_interference(
+    system: &SystemConfig,
+    scale: f64,
+    budget: u64,
+) -> Result<Vec<InterferenceBar>, CycleBudgetExceeded> {
     let victims = GpuBenchmark::all();
     // 80-SM standalone baselines.
     let sys = system.clone();
-    let base80: Vec<u64> = parallel_map(victims.clone(), move |v| {
+    let base80 = parallel_map(victims.clone(), move |v| {
         let mut r = Runner::new(sys.clone(), PolicyKind::FrFcfs);
         r.max_gpu_cycles = budget * 4;
         r.standalone(Box::new(gpu_kernel(v, 80, scale)), 0, false)
-            .unwrap_or_else(|e| panic!("baseline {v}: {e}"))
-            .cycles
-    });
+            .map(|out| out.cycles)
+    })
+    .into_iter()
+    .collect::<Result<Vec<u64>, _>>()?;
 
     #[derive(Clone, Copy, PartialEq)]
     enum Corunner {
@@ -72,9 +82,7 @@ pub fn run_interference(system: &SystemConfig, scale: f64, budget: u64) -> Vec<I
             Corunner::None => {
                 // 72 SMs, no contention: standalone run on 72 SMs.
                 r.max_gpu_cycles = budget * 4;
-                r.standalone(victim, 8, false)
-                    .unwrap_or_else(|e| panic!("{v}/72: {e}"))
-                    .cycles
+                r.standalone(victim, 8, false)?.cycles
             }
             Corunner::Gpu(g) => {
                 let co = Box::new(gpu_kernel(g, 8, scale * 0.5));
@@ -85,7 +93,7 @@ pub fn run_interference(system: &SystemConfig, scale: f64, budget: u64) -> Vec<I
                 r.coexec(victim, co, true).gpu_first_run
             }
         };
-        (vi, ci, base80[vi] as f64 / contended as f64)
+        Ok((ci, base80[vi] as f64 / contended as f64))
     });
 
     let labels: Vec<String> = corunners
@@ -98,19 +106,19 @@ pub fn run_interference(system: &SystemConfig, scale: f64, budget: u64) -> Vec<I
         .collect();
     let mut sums = vec![0.0f64; corunners.len()];
     let mut counts = vec![0usize; corunners.len()];
-    for (vi, ci, s) in speedups {
-        let _ = vi;
+    for speedup in speedups {
+        let (ci, s) = speedup?;
         sums[ci] += s;
         counts[ci] += 1;
     }
-    labels
+    Ok(labels
         .into_iter()
         .enumerate()
         .map(|(ci, corunner)| InterferenceBar {
             corunner,
             avg_speedup: sums[ci] / counts[ci].max(1) as f64,
         })
-        .collect()
+        .collect())
 }
 
 #[cfg(test)]
@@ -123,7 +131,7 @@ mod tests {
     #[test]
     #[ignore = "several seconds; run via `scripts/tier1.sh --slow` or the fig5 binary"]
     fn pim_corunner_hurts_most() {
-        let bars = run_interference(&SystemConfig::default(), 0.01, 8_000_000);
+        let bars = run_interference(&SystemConfig::default(), 0.01, 8_000_000).expect("finishes");
         assert_eq!(bars.len(), 6);
         let none = bars[0].avg_speedup;
         let pim = bars.last().expect("nonempty").avg_speedup;
@@ -136,5 +144,10 @@ mod tests {
             pim < worst_gpu,
             "PIM co-runner ({pim}) must hurt more than any GPU co-runner ({worst_gpu})"
         );
+    }
+
+    #[test]
+    fn budget_overrun_is_an_error() {
+        assert!(run_interference(&SystemConfig::default(), 0.01, 0).is_err());
     }
 }

@@ -132,8 +132,7 @@ pub struct CompletionStage {
     /// Reusable per-cycle buffers (PIM acks, delivered replies).
     ack_scratch: Vec<Request>,
     reply_scratch: Vec<Request>,
-    /// Kernel completions retired (acks + replies) — the denominator of
-    /// the ticks-per-completion structural metric.
+    /// Kernel completions retired (acks + replies).
     delivered: u64,
 }
 

@@ -64,6 +64,9 @@ pub struct IssueStage {
     wake_at: Vec<Cycle>,
     /// The earliest entry of `wake_at` over the occupied SMs.
     next_wake: Cycle,
+    /// The wake table off: every occupied SM is polled every cycle,
+    /// whatever its kernel's issue bound says (the reference simulator).
+    pub(crate) poll_every_cycle: bool,
 }
 
 impl IssueStage {
@@ -76,6 +79,7 @@ impl IssueStage {
             max_outstanding_mem,
             wake_at: vec![NEVER; num_sms],
             next_wake: NEVER,
+            poll_every_cycle: false,
         }
     }
 
@@ -160,10 +164,14 @@ impl IssueStage {
                         self.sm_outstanding[sm] += 1;
                     }
                 }
-                kernel
-                    .model
-                    .next_issue_cycle(slot, now + 1)
-                    .map_or(NEVER, |at| at.max(now + 1))
+                if self.poll_every_cycle {
+                    now + 1
+                } else {
+                    kernel
+                        .model
+                        .next_issue_cycle(slot, now + 1)
+                        .map_or(NEVER, |at| at.max(now + 1))
+                }
             };
             self.wake_at[sm] = wake;
             next_wake = next_wake.min(wake);

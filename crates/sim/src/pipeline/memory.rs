@@ -208,9 +208,8 @@ impl MemoryStage {
     /// unproduced due is bounded below by
     /// [`pimsim_core::MemoryController::arrival_bound`]`(f)`. When that
     /// bound clears `limit`, everything due is already in the wire and
-    /// the lag keeps growing — this is what keeps consecutive delivery
-    /// cycles (a throttled kernel draining its credit cap) from
-    /// shattering lags into single-visit replays.
+    /// the lag keeps growing — this is what keeps the per-cycle drains
+    /// from shattering lags into single-visit replays.
     pub fn drain_acks_into(&mut self, limit: Cycle, out: &mut Vec<Request>) {
         // Acks pending keep a partition out of idle, so the active set
         // covers every non-empty schedule.

@@ -117,10 +117,12 @@ impl Simulator {
         mix
     }
 
-    /// Total DRAM energy over the run under `energy` coefficients.
-    pub fn total_energy(&self, energy: &pimsim_dram::EnergyConfig) -> pimsim_dram::EnergyBreakdown {
+    /// Total DRAM energy over the run, priced with the energy
+    /// coefficients of the run's DRAM backend
+    /// ([`pimsim_dram::backend::energy_for`]).
+    pub fn total_energy(&self) -> pimsim_dram::EnergyBreakdown {
         pimsim_dram::channel_energy(
-            energy,
+            &pimsim_dram::backend::energy_for(&self.cfg),
             &self.merged_channel_stats(),
             self.dram_cycles() * self.memory.channel_count() as u64,
             self.cfg.dram.banks as u32,

@@ -28,18 +28,14 @@ pub struct Runner {
     /// Skip provably idle spans instead of ticking them cycle by cycle
     /// (see [`Simulator::set_fast_forward`]). On by default; results are
     /// bit-identical either way, so turning it off is only useful for
-    /// validating that claim or profiling the lock-step path.
+    /// measuring what the skip is worth or profiling the lock-step path.
     pub fast_forward: bool,
-    /// Event-driven completion delivery (see
-    /// [`Simulator::set_event_delivery`]). On by default; results are
-    /// bit-identical either way, so turning it off is only useful for
-    /// the eager-oracle equivalence tests and stage-tick baselines.
-    pub event_delivery: bool,
     /// Retire-time ack batching (see [`Simulator::set_ack_batching`]).
     /// On by default; results are bit-identical either way, so turning
-    /// it off is only useful for the eager-oracle equivalence tests and
-    /// per-tick production baselines.
+    /// it off is only useful for measuring what batching is worth.
     pub ack_batching: bool,
+    /// Run on [`Simulator::reference`] (see [`Runner::reference`]).
+    reference: bool,
 }
 
 impl Runner {
@@ -51,8 +47,20 @@ impl Runner {
             policy,
             max_gpu_cycles: 60_000_000,
             fast_forward: true,
-            event_delivery: true,
             ack_batching: true,
+            reference: false,
+        }
+    }
+
+    /// Like [`Runner::new`], but every simulation runs on
+    /// [`Simulator::reference`], with every fast path off: the oracle the
+    /// default must match exactly.
+    pub fn reference(system: SystemConfig, policy: PolicyKind) -> Self {
+        Runner {
+            fast_forward: false,
+            ack_batching: false,
+            reference: true,
+            ..Self::new(system, policy)
         }
     }
 
@@ -72,9 +80,13 @@ impl Runner {
     }
 
     fn simulator(&self) -> Simulator {
-        let mut sim = Simulator::new(self.system.clone(), self.policy);
+        let (system, policy) = (self.system.clone(), self.policy);
+        let mut sim = if self.reference {
+            Simulator::reference(system, policy)
+        } else {
+            Simulator::new(system, policy)
+        };
         sim.set_fast_forward(self.fast_forward);
-        sim.set_event_delivery(self.event_delivery);
         sim.set_ack_batching(self.ack_batching);
         sim
     }

@@ -75,10 +75,9 @@ impl StageProfile {
 }
 
 /// How many times each pipeline stage actually ran (its code was
-/// entered this cycle, as opposed to being skipped by the event-driven
-/// delivery path). The first three stages run every stepped cycle; the
-/// reply and completion stages only run when a completion can move —
-/// the structural quantity behind the ticks-per-completion gate.
+/// entered this cycle, as opposed to being skipped by a gate). The first
+/// two stages run every stepped cycle; the memory stage counts cycles on
+/// which a partition stepped live, and the tail stages cycles they ran.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct StageTicks {
     pub issue: u64,
@@ -116,12 +115,10 @@ pub struct Simulator {
     /// Event-driven idle-span skipping (on by default; see
     /// [`Simulator::set_fast_forward`]).
     pub(crate) fast_forward: bool,
-    /// Event-driven completion delivery (on by default; see
-    /// [`Simulator::set_event_delivery`]).
-    event_delivery: bool,
-    /// Retire-time ack batching (on by default; see
-    /// [`Simulator::set_ack_batching`]).
-    ack_batching: bool,
+    /// Built by [`Simulator::reference`]: stages 5 and 6 run every cycle.
+    reference: bool,
+    /// Whether a PIM kernel is mounted (only PIM requests are acked).
+    pim_mounted: bool,
     /// Number of idle-span jumps taken.
     skips: u64,
     /// GPU cycles covered by those jumps (not stepped one by one).
@@ -149,8 +146,8 @@ impl Simulator {
             completion: CompletionStage::new(),
             kernels: Vec::new(),
             fast_forward: true,
-            event_delivery: true,
-            ack_batching: true,
+            reference: false,
+            pim_mounted: false,
             skips: 0,
             skipped_cycles: 0,
             stage_ticks: StageTicks::default(),
@@ -161,6 +158,30 @@ impl Simulator {
         // harvesting owner); the simulator's partitions do, so batching
         // is on by default here.
         sim.set_ack_batching(true);
+        sim
+    }
+
+    /// The reference simulator: [`Simulator::new`] with every fast path
+    /// off — fast-forward, ack batching and partition lag, each
+    /// controller's stall memo and burst plans, the issue stage's wake
+    /// table and the reply gate — so every stage ticks every cycle
+    /// through the plain per-tick code (DESIGN.md §6). Every fast path
+    /// must match it exactly, down to the cycle of each completion.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg` fails validation.
+    pub fn reference(cfg: SystemConfig, policy: pimsim_core::PolicyKind) -> Self {
+        let mut sim = Self::new(cfg, policy);
+        sim.reference = true;
+        sim.set_fast_forward(false);
+        sim.set_ack_batching(false);
+        sim.issue.poll_every_cycle = true;
+        for c in 0..sim.memory.channel_count() {
+            let mc = &mut sim.memory.partition_mut(c).mc;
+            mc.set_stall_enabled(false);
+            mc.set_burst_enabled(false);
+        }
         sim
     }
 
@@ -196,34 +217,9 @@ impl Simulator {
     /// Enables or disables event-driven idle-span skipping (on by
     /// default). With it off, the simulator ticks every GPU cycle in
     /// lock-step. Both modes produce bit-identical results; the flag
-    /// exists for regression testing and for measuring the speedup.
+    /// exists for measuring the speedup (`ablation`).
     pub fn set_fast_forward(&mut self, on: bool) {
         self.fast_forward = on;
-    }
-
-    /// Whether event-driven idle-span skipping is enabled.
-    pub fn fast_forward(&self) -> bool {
-        self.fast_forward
-    }
-
-    /// Enables or disables event-driven completion delivery (on by
-    /// default). With it on, PIM acknowledgements accumulate in the
-    /// partitions' ack wires until some mounted kernel reports
-    /// ([`KernelModel::wants_completions`]) that delivery is observable,
-    /// and the reply-network / completion stages are skipped on cycles
-    /// where no reply exists anywhere. With it off, every completion is
-    /// retired on the cycle it arrives and every stage ticks every cycle
-    /// — the eager oracle. Both modes produce bit-identical observables
-    /// (cycle counts, McStats, goldens); only the step mix's per-stage
-    /// tick counters may differ. The flag exists for the oracle
-    /// equivalence tests and for measuring the win.
-    pub fn set_event_delivery(&mut self, on: bool) {
-        self.event_delivery = on;
-    }
-
-    /// Whether event-driven completion delivery is enabled.
-    pub fn event_delivery(&self) -> bool {
-        self.event_delivery
     }
 
     /// Enables or disables retire-time ack batching (on by default).
@@ -234,20 +230,13 @@ impl Simulator {
     /// ticking — each ack still becomes *observable* at its exact
     /// analytic cycle (DESIGN.md §4k).
     /// With it off, every completion is produced by a per-tick
-    /// controller step and no partition ever lags — the eager oracle.
-    /// Both modes produce bit-identical observables (cycle counts,
-    /// McStats, goldens); only the step mix's tick counters differ.
-    /// Toggle before running.
+    /// controller step and no partition ever lags. Both modes produce
+    /// bit-identical observables (cycle counts, McStats, goldens); only
+    /// the step mix's tick counters differ. Toggle before running.
     pub fn set_ack_batching(&mut self, on: bool) {
-        self.ack_batching = on;
         for c in 0..self.memory.channel_count() {
             self.memory.partition_mut(c).mc.set_ack_batching(on);
         }
-    }
-
-    /// Whether retire-time ack batching is enabled.
-    pub fn ack_batching(&self) -> bool {
-        self.ack_batching
     }
 
     /// Catches every lagging partition up to the memory stage's clock.
@@ -289,6 +278,7 @@ impl Simulator {
             "SM count must match the kernel's slots"
         );
         let idx = self.kernels.len();
+        self.pim_mounted |= is_pim;
         for (slot, &sm) in sms.iter().enumerate() {
             self.issue.occupy(sm, idx, slot);
         }
@@ -356,10 +346,10 @@ impl Simulator {
     /// issue → request net → L2 → DRAM ticks → PIM acks → reply net →
     /// reply completions → kernel bookkeeping.
     ///
-    /// With event-driven delivery on (the default), the PIM-ack and
-    /// reply stages only run on cycles where a completion can actually
-    /// move or be observed; see [`Simulator::set_event_delivery`] for the
-    /// contract and the soundness comments inline in the cycle's body.
+    /// The PIM-ack stage runs on every cycle while a PIM kernel is
+    /// mounted, and the reply stage only on cycles where a reply exists
+    /// (the reply gate; DESIGN.md §4i). [`Simulator::reference`] runs
+    /// both every cycle.
     ///
     /// Every partition is current afterwards, so [`Simulator::partition`],
     /// [`Simulator::partitions`] and the merged stats read the state the
@@ -412,25 +402,11 @@ impl Simulator {
         }
         Self::lap(&mut mark, &mut prof, |p| &mut p.memory_ns);
 
-        // 5. PIM acks (credit return, out-of-band). Event-driven: acks
-        // are left to accumulate in the partitions' ack wires until some
-        // PIM kernel says delivery is observable — a warp throttled at
-        // its credit cap, or the completion tail where `is_done` is
-        // advancing. This runs at the same position the eager schedule
-        // delivers, so a gated delivery is never *early*; and because a
-        // warp can only be at its cap here if it already was when this
-        // stage last ran (issue precedes this stage in the same cycle),
-        // every ack the eager schedule would have delivered before an
-        // observable issue decision is delivered before that decision
-        // here too. `on_complete` batching is exact by the
-        // `wants_completions` contract.
+        // 5. PIM acks (credit return, out-of-band), on every cycle
+        // while a PIM kernel is mounted — only PIM requests are acked —
+        // so each ack reaches its kernel on the cycle it becomes due.
         let mut completion_ticked = false;
-        let deliver_acks = !self.event_delivery
-            || self
-                .kernels
-                .iter()
-                .any(|k| k.is_pim && k.model.wants_completions(now));
-        if deliver_acks {
+        if self.reference || self.pim_mounted {
             // Acks become observable once their DRAM cycle has been
             // *serviced*: `dram_cycles()` is the next unserviced tick (the
             // span above ended at `dram_cycles() - 1`), so that is the
@@ -457,7 +433,7 @@ impl Simulator {
         // flight inside the crossbar — then injection, arbitration, and
         // retirement would all be no-ops.
         let reply_active =
-            !self.event_delivery || self.memory.replies_pending() || self.reply_net.has_traffic();
+            self.reference || self.memory.replies_pending() || self.reply_net.has_traffic();
         if reply_active {
             let mut delivered = self.completion.begin_replies();
             self.reply_net.step(

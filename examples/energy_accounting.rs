@@ -1,20 +1,19 @@
 //! The PIM energy argument, quantified: run the same vector-add work once
 //! as a PIM kernel (compute at the banks) and once as an equivalent
 //! load/store GPU kernel (move everything across the bus), and compare
-//! DRAM energy with the extension energy model.
+//! DRAM energy with the extension energy model, priced with the HBM
+//! backend's coefficients.
 //!
 //! ```sh
 //! cargo run --release --example energy_accounting
 //! ```
 
-use pim_coscheduling::dram::EnergyConfig;
 use pim_coscheduling::gpu::{GpuKernelParams, KernelModel, SyntheticGpuKernel};
 use pim_coscheduling::prelude::*;
 use pim_coscheduling::sim::Simulator;
 use pim_coscheduling::workloads::pim_kernel;
 
 fn main() {
-    let energy = EnergyConfig::default();
     let scale = 0.3;
 
     // PIM STREAM-Add: 3 ops per element chunk, all at the banks.
@@ -24,7 +23,7 @@ fn main() {
     sim.mount(Box::new(pim), (0..8).collect(), true, false);
     sim.run_until_all_first_done(10_000_000).expect("PIM run");
     let pim_cycles = sim.gpu_cycles();
-    let pim_energy = sim.total_energy(&energy);
+    let pim_energy = sim.total_energy();
 
     // Host-side equivalent: one lock-step PIM op touches a DRAM word on
     // every bank, so the host must issue banks-times as many 32 B
@@ -48,7 +47,7 @@ fn main() {
     sim.mount(Box::new(host), (8..80).collect(), false, false);
     sim.run_until_all_first_done(10_000_000).expect("host run");
     let host_cycles = sim.gpu_cycles();
-    let host_energy = sim.total_energy(&energy);
+    let host_energy = sim.total_energy();
 
     println!(
         "vector add: {pim_ops} PIM ops x {banks} banks = {} x 32 B words touched\n",

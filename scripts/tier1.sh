@@ -38,6 +38,13 @@ cargo test -q --release --test golden_pipeline
 # release the whole file takes under a second.
 cargo test -q --release --test end_to_end
 
+# The fast-path oracles (tests/fast_forward.rs), including the 248-run
+# matrix the debug pass skips as too slow there: the default simulator
+# against `Runner::reference`, every fast path off, on cycles, merged
+# McStats and every kernel's completion log, on both DRAM backends under
+# VC1 and VC2. About 3 s in release.
+cargo test -q --release --test fast_forward
+
 # Backend-registry smoke (DESIGN.md §4j): both registries must round-trip
 # names and agree on the error dialect, every registered backend must be
 # reachable from the CLI, and a short LP5X run must complete end to end —
@@ -59,16 +66,16 @@ cargo run -q --release -p pimsim-cli --bin pimsim -- \
 # scenario: fewer fast-forward skips; more memory-stage, reply-network
 # or completion-stage ticks; more replayed partition visits; more
 # controller full steps; or fewer memo replays, plan-retired cycles or
-# burst plans (DESIGN.md §4g-§4k). It
-# also fails if burst retirement disengages (zero burst hit rate on
-# standalone_pim, §4h), if event-driven completion delivery disengages
-# (on standalone_pim the reply-net + completion stages must run at least
-# 5x fewer ticks than the eager 2-ticks-per-stepped-cycle baseline,
-# §4i), or if retire-time completion batching disengages (on both
-# standalone PIM scenarios, HBM and lp5x:ranks=4, the memory stage must
-# run at least 3x fewer ticks than stepped cycles and at least one ack
-# must travel in a retire-time batch, §4k). Tick counts are
-# deterministic, so those gates are structural — immune to host noise.
+# burst plans (DESIGN.md §4g-§4k). The completion stage collects PIM
+# acks on every stepped cycle while a PIM kernel is mounted (§4i), so on
+# the PIM scenarios its tick count equals the stepped cycles. It also
+# fails if burst retirement disengages (zero burst hit rate on
+# standalone_pim, §4h), or if retire-time completion batching
+# disengages (on both standalone PIM scenarios, HBM and lp5x:ranks=4,
+# the memory stage must run at least 3x fewer ticks than stepped cycles
+# and at least one ack must travel in a retire-time batch, §4k). Tick
+# counts are deterministic, so those gates are structural — immune to
+# host noise.
 HOTLOOP_REPS=1 HOTLOOP_FLOOR=25000 HOTLOOP_OUT="" \
   cargo run -q --release -p pimsim-bench --bin hotloop
 

@@ -2,7 +2,6 @@
 //! closed-page policy, the FFT scenario, trace replay through the full
 //! simulator, and energy accounting.
 
-use pim_coscheduling::dram::EnergyConfig;
 use pim_coscheduling::gpu::{KernelModel, TraceKernel, TraceRecorder};
 use pim_coscheduling::prelude::*;
 use pim_coscheduling::sim::Simulator;
@@ -154,7 +153,6 @@ fn energy_accounting_is_consistent_across_policies() {
     // Same workload, two policies: total commands differ only in row
     // management, so dynamic energy stays within a band and I/O energy is
     // identical (same serviced requests).
-    let energy = EnergyConfig::default();
     let run = |policy| {
         let mut sim = Simulator::new(SystemConfig::default(), policy);
         sim.mount(
@@ -164,7 +162,7 @@ fn energy_accounting_is_consistent_across_policies() {
             false,
         );
         sim.run_until_all_first_done(4_000_000).expect("finishes");
-        sim.total_energy(&energy)
+        sim.total_energy()
     };
     let a = run(PolicyKind::FrFcfs);
     let b = run(PolicyKind::Fcfs);
@@ -172,5 +170,29 @@ fn energy_accounting_is_consistent_across_policies() {
     assert!(
         a.row <= b.row,
         "FR-FCFS must not need more activates than FCFS"
+    );
+}
+
+#[test]
+fn energy_is_priced_with_the_run_backends_coefficients() {
+    // LPDDR5X moves a 32 B word across the bus for 400 pJ, not HBM's 250:
+    // an LP5X run must be priced with its own backend's coefficients.
+    let kind = pim_coscheduling::dram::backend::parse_spec("lp5x:ranks=4").expect("registered");
+    let mut sim = Simulator::new(
+        pim_coscheduling::dram::backend::system_config(kind),
+        PolicyKind::FrFcfs,
+    );
+    sim.mount(
+        Box::new(gpu_kernel(GpuBenchmark(9), 40, SCALE)),
+        (0..40).collect(),
+        false,
+        false,
+    );
+    sim.run_until_all_first_done(4_000_000).expect("finishes");
+    let cmds = sim.merged_channel_stats();
+    assert!(cmds.reads + cmds.writes > 0, "the MEM run moved no data");
+    assert_eq!(
+        sim.total_energy().io,
+        (cmds.reads + cmds.writes) as f64 * 400.0
     );
 }

@@ -1,9 +1,11 @@
-//! Fast-forward equivalence matrix: runs with idle-span skipping enabled
-//! must be bit-identical to lock-step runs — same total cycles, same
-//! merged controller stats — across policies, workloads, and VC modes.
-//! This is the correctness contract of the event-driven main loop: the
-//! skip may only cover cycles in which a lock-step `step()` would have
-//! mutated nothing but the clocks.
+//! Fast-path equivalence against the reference simulator. Every fast
+//! path — fast-forward, retire-time ack batching and the partition lag
+//! it licenses, the controllers' stall memo and burst plans, the issue
+//! stage's wake table and the reply gate — must leave every observable
+//! of a run identical to [`Runner::reference`], the same run with all of
+//! them off: total cycles, injections (or first-run cycles and
+//! starvation), merged controller stats, and the cycle, slot and request
+//! ID of every completion each kernel receives, in order.
 
 use std::sync::{Arc, Mutex};
 
@@ -20,20 +22,6 @@ use pim_coscheduling::workloads::{
 const SCALE: f64 = 0.01;
 const BUDGET: u64 = 20_000_000;
 
-fn runner(policy: PolicyKind, vc_mode: VcMode, fast_forward: bool) -> Runner {
-    runner_ev(policy, vc_mode, fast_forward, true)
-}
-
-fn runner_ev(policy: PolicyKind, vc_mode: VcMode, fast_forward: bool, events: bool) -> Runner {
-    let mut cfg = SystemConfig::default();
-    cfg.noc.vc_mode = vc_mode;
-    let mut r = Runner::new(cfg, policy);
-    r.max_gpu_cycles = BUDGET;
-    r.fast_forward = fast_forward;
-    r.event_delivery = events;
-    r
-}
-
 /// The two DRAM backends, the second resolved through the backend
 /// registry exactly like `--dram`.
 fn backends() -> [(&'static str, SystemConfig); 2] {
@@ -45,133 +33,63 @@ fn backends() -> [(&'static str, SystemConfig); 2] {
     ]
 }
 
-/// Field-by-field equality of merged controller stats. `McStats` holds
-/// histograms (no `PartialEq`), so the comparison goes through every
-/// counter plus each histogram's count/max/mean.
-fn assert_mc_identical(a: &McStats, b: &McStats, ctx: &str) {
-    assert_eq!(a.mem_arrivals, b.mem_arrivals, "{ctx}: mem_arrivals");
-    assert_eq!(a.pim_arrivals, b.pim_arrivals, "{ctx}: pim_arrivals");
-    assert_eq!(a.mem_served, b.mem_served, "{ctx}: mem_served");
-    assert_eq!(a.pim_served, b.pim_served, "{ctx}: pim_served");
-    assert_eq!(a.mem_row_hits, b.mem_row_hits, "{ctx}: mem_row_hits");
-    assert_eq!(a.mem_row_misses, b.mem_row_misses, "{ctx}: mem_row_misses");
-    assert_eq!(a.pim_row_hits, b.pim_row_hits, "{ctx}: pim_row_hits");
-    assert_eq!(a.pim_row_misses, b.pim_row_misses, "{ctx}: pim_row_misses");
-    assert_eq!(a.switches, b.switches, "{ctx}: switches");
-    assert_eq!(
-        a.switches_mem_to_pim, b.switches_mem_to_pim,
-        "{ctx}: switches_mem_to_pim"
-    );
-    assert_eq!(
-        a.mem_drain_latency_sum, b.mem_drain_latency_sum,
-        "{ctx}: mem_drain_latency_sum"
-    );
-    assert_eq!(
-        a.switch_conflicts, b.switch_conflicts,
-        "{ctx}: switch_conflicts"
-    );
-    assert_eq!(a.blp_sum, b.blp_sum, "{ctx}: blp_sum");
-    assert_eq!(a.active_cycles, b.active_cycles, "{ctx}: active_cycles");
-    assert_eq!(
-        a.mem_q_occupancy_sum, b.mem_q_occupancy_sum,
-        "{ctx}: mem_q_occupancy_sum"
-    );
-    assert_eq!(
-        a.pim_q_occupancy_sum, b.pim_q_occupancy_sum,
-        "{ctx}: pim_q_occupancy_sum"
-    );
-    assert_eq!(a.cycles, b.cycles, "{ctx}: cycles");
-    assert_eq!(
-        a.cycles_mem_mode, b.cycles_mem_mode,
-        "{ctx}: cycles_mem_mode"
-    );
-    assert_eq!(
-        a.cycles_pim_mode, b.cycles_pim_mode,
-        "{ctx}: cycles_pim_mode"
-    );
-    assert_eq!(
-        a.cycles_draining, b.cycles_draining,
-        "{ctx}: cycles_draining"
-    );
-    assert_eq!(
-        a.mem_latency.count(),
-        b.mem_latency.count(),
-        "{ctx}: mem_latency.count"
-    );
-    assert_eq!(
-        a.mem_latency.max(),
-        b.mem_latency.max(),
-        "{ctx}: mem_latency.max"
-    );
-    assert_eq!(
-        a.mem_latency.mean(),
-        b.mem_latency.mean(),
-        "{ctx}: mem_latency.mean"
-    );
-    assert_eq!(
-        a.pim_latency.count(),
-        b.pim_latency.count(),
-        "{ctx}: pim_latency.count"
-    );
-    assert_eq!(
-        a.pim_latency.max(),
-        b.pim_latency.max(),
-        "{ctx}: pim_latency.max"
-    );
-    assert_eq!(
-        a.pim_latency.mean(),
-        b.pim_latency.mean(),
-        "{ctx}: pim_latency.mean"
-    );
+/// `cfg` with its interconnect in `vc_mode`.
+fn with_vc(cfg: &SystemConfig, vc_mode: VcMode) -> SystemConfig {
+    let mut cfg = cfg.clone();
+    cfg.noc.vc_mode = vc_mode;
+    cfg
 }
 
-#[test]
-fn standalone_mem_matches_across_ff_modes() {
-    for policy in [PolicyKind::FrFcfs, PolicyKind::FrRrFcfs] {
-        for vc_mode in [VcMode::Shared, VcMode::SplitPim] {
-            for bench in [GpuBenchmark(3), GpuBenchmark(15)] {
-                let ctx = format!("{policy:?}/{vc_mode:?}/{bench:?}");
-                let run = |ff: bool| {
-                    runner(policy, vc_mode, ff)
-                        .standalone(Box::new(gpu_kernel(bench, 16, SCALE)), 0, false)
-                        .expect("finishes")
-                };
-                let on = run(true);
-                let off = run(false);
-                assert_eq!(on.cycles, off.cycles, "{ctx}: total cycles");
-                assert_eq!(on.icnt_injections, off.icnt_injections, "{ctx}: injections");
-                assert_mc_identical(&on.mc, &off.mc, &ctx);
-            }
-        }
-    }
+/// The default runner for `cfg` and `policy`.
+fn runner(cfg: &SystemConfig, policy: PolicyKind) -> Runner {
+    let mut r = Runner::new(cfg.clone(), policy);
+    r.max_gpu_cycles = BUDGET;
+    r
 }
+
+/// The reference runner for `cfg` and `policy`.
+fn reference(cfg: &SystemConfig, policy: PolicyKind) -> Runner {
+    let mut r = Runner::reference(cfg.clone(), policy);
+    r.max_gpu_cycles = BUDGET;
+    r
+}
+
+/// The runners a test races against the reference: the default, and the
+/// default with each of its two switches off on its own.
+fn variants(cfg: &SystemConfig, policy: PolicyKind) -> [(&'static str, Runner); 3] {
+    let mut no_ff = runner(cfg, policy);
+    no_ff.fast_forward = false;
+    let mut no_batching = runner(cfg, policy);
+    no_batching.ack_batching = false;
+    [
+        ("default", runner(cfg, policy)),
+        ("ff=off", no_ff),
+        ("batching=off", no_batching),
+    ]
+}
+
+/// One kernel's completions in arrival order: `(cycle, slot, request)`.
+type Log = Vec<(Cycle, usize, RequestId)>;
 
 /// A kernel under observation: forwards everything to the wrapped model
-/// and logs the cycle of every completion it receives, in order. Two
-/// runs' logs differ as soon as one reply or ack arrives late, even when
-/// no total moves (a compute-bound kernel ends on its last reply, not on
-/// one from mid-run). With `polled` set it also hides the model's issue
-/// bound behind the conservative default, so the issue stage polls its
-/// SMs on every cycle: the reference the wake table must match.
+/// and logs every completion it receives. Two runs' logs differ as soon
+/// as one reply or ack arrives on another cycle, even when no total
+/// moves (a compute-bound kernel ends on its last reply, not on one from
+/// mid-run).
 struct Observed {
     inner: Box<dyn KernelModel>,
-    polled: bool,
-    completions: Arc<Mutex<Vec<Cycle>>>,
+    log: Arc<Mutex<Log>>,
 }
 
 impl Observed {
     /// Wraps `inner`; the returned log fills as the simulation runs.
-    fn wrap(
-        inner: Box<dyn KernelModel>,
-        polled: bool,
-    ) -> (Box<dyn KernelModel>, Arc<Mutex<Vec<Cycle>>>) {
-        let completions = Arc::new(Mutex::new(Vec::new()));
+    fn wrap(inner: Box<dyn KernelModel>) -> (Box<dyn KernelModel>, Arc<Mutex<Log>>) {
+        let log = Arc::new(Mutex::new(Vec::new()));
         let k = Observed {
             inner,
-            polled,
-            completions: Arc::clone(&completions),
+            log: Arc::clone(&log),
         };
-        (Box::new(k), completions)
+        (Box::new(k), log)
     }
 }
 
@@ -189,7 +107,7 @@ impl KernelModel for Observed {
     }
 
     fn on_complete(&mut self, slot: usize, id: RequestId, now: Cycle) {
-        self.completions.lock().expect("log").push(now);
+        self.log.lock().expect("log").push((now, slot, id));
         self.inner.on_complete(slot, id, now);
     }
 
@@ -206,56 +124,130 @@ impl KernelModel for Observed {
     }
 
     fn next_issue_cycle(&self, slot: usize, now: Cycle) -> Option<Cycle> {
-        if self.polled {
-            Some(now)
-        } else {
-            self.inner.next_issue_cycle(slot, now)
-        }
+        self.inner.next_issue_cycle(slot, now)
     }
+}
 
-    fn wants_completions(&self, now: Cycle) -> bool {
-        self.inner.wants_completions(now)
+fn take(log: &Arc<Mutex<Log>>) -> Log {
+    std::mem::take(&mut *log.lock().expect("log"))
+}
+
+/// Everything a run shows its caller.
+struct Seen {
+    /// Standalone: total cycles and injections. Co-execution: total
+    /// cycles, the GPU and PIM kernels' first-run cycles, and whether
+    /// each starved.
+    totals: Vec<u64>,
+    mc: McStats,
+    /// Per kernel, in mount order.
+    logs: Vec<Log>,
+}
+
+/// A standalone run of `kernel` on `r`.
+fn solo(r: &Runner, kernel: Box<dyn KernelModel>, is_pim: bool) -> Seen {
+    let (k, log) = Observed::wrap(kernel);
+    let out = r.standalone(k, 0, is_pim).expect("finishes");
+    Seen {
+        totals: vec![out.cycles, out.icnt_injections],
+        mc: out.mc,
+        logs: vec![take(&log)],
+    }
+}
+
+/// A competitive co-execution of `gpu` and `pim` on `r`.
+fn coexec(r: &Runner, gpu: Box<dyn KernelModel>, pim: Box<dyn KernelModel>) -> Seen {
+    let (pim, pim_log) = Observed::wrap(pim);
+    let (gpu, gpu_log) = Observed::wrap(gpu);
+    let out = r.coexec(gpu, pim, true);
+    Seen {
+        totals: vec![
+            out.total_cycles,
+            out.gpu_first_run,
+            out.pim_first_run,
+            u64::from(out.gpu_starved),
+            u64::from(out.pim_starved),
+        ],
+        mc: out.mc,
+        logs: vec![take(&pim_log), take(&gpu_log)],
+    }
+}
+
+/// Where `got` first differs from `want`, or `None` if it matches.
+fn mismatch(got: &Seen, want: &Seen) -> Option<String> {
+    if got.totals != want.totals {
+        return Some(format!("totals {:?} vs {:?}", got.totals, want.totals));
+    }
+    if got.mc != want.mc {
+        return Some("merged controller stats differ".into());
+    }
+    got.logs
+        .iter()
+        .zip(&want.logs)
+        .enumerate()
+        .find(|(_, (g, w))| g != w)
+        .map(|(k, (g, w))| {
+            let at = g.iter().zip(w).take_while(|(a, b)| a == b).count();
+            format!(
+                "kernel {k}'s completion log differs at entry {at}: {:?} vs {:?} ({} vs {} entries)",
+                g.get(at),
+                w.get(at),
+                g.len(),
+                w.len()
+            )
+        })
+}
+
+fn assert_matches(got: &Seen, want: &Seen, ctx: &str) {
+    if let Some(diff) = mismatch(got, want) {
+        panic!("{ctx}: {diff}");
+    }
+}
+
+/// Races every variant of the default runner against the reference on
+/// `cfg` and `policy`; `run` performs one run on the runner it gets.
+fn assert_variants_match(
+    ctx: &str,
+    cfg: &SystemConfig,
+    policy: PolicyKind,
+    run: impl Fn(&Runner) -> Seen,
+) {
+    let want = run(&reference(cfg, policy));
+    for (label, r) in variants(cfg, policy) {
+        assert_matches(&run(&r), &want, &format!("{ctx}/{label}"));
+    }
+}
+
+#[test]
+fn standalone_mem_matches_across_ff_modes() {
+    let base = SystemConfig::default();
+    for policy in [PolicyKind::FrFcfs, PolicyKind::FrRrFcfs] {
+        for vc_mode in [VcMode::Shared, VcMode::SplitPim] {
+            for bench in [GpuBenchmark(3), GpuBenchmark(15)] {
+                let ctx = format!("{policy:?}/{vc_mode:?}/{bench:?}");
+                assert_variants_match(&ctx, &with_vc(&base, vc_mode), policy, |r| {
+                    solo(r, Box::new(gpu_kernel(bench, 16, SCALE)), false)
+                });
+            }
+        }
     }
 }
 
 /// Compute-bound MEM kernels — the workloads fast-forward exists for —
 /// spend most cycles waiting on requests in flight: queued in a stalled
 /// controller, moving as DRAM data, or sitting in an L2 hit pipeline,
-/// while every SM paces. Fast-forward jumps those waits, so every
-/// observable must match the eager run (fast-forward, event delivery and
-/// ack batching all off) cycle for cycle, down to the cycle of each
-/// completion: G7, G10 and G12 on 1 and 8 SMs, on both DRAM backends,
-/// with event delivery and ack batching each on or off under
-/// fast-forward.
+/// while every SM paces. Fast-forward jumps those waits and the wake
+/// table sleeps the pacing SMs, so every observable must match the
+/// reference cycle for cycle, down to the cycle of each completion: G7,
+/// G10 and G12 on 1 and 8 SMs, on both DRAM backends.
 #[test]
 fn compute_bound_mem_matches_eager_oracle() {
     for (backend, cfg) in backends() {
         for bench in [GpuBenchmark(7), GpuBenchmark(10), GpuBenchmark(12)] {
             for sms in [1, 8] {
-                let run = |ff: bool, events: bool, batching: bool| {
-                    let mut r = Runner::new(cfg.clone(), PolicyKind::FrFcfs);
-                    r.max_gpu_cycles = BUDGET;
-                    r.fast_forward = ff;
-                    r.event_delivery = events;
-                    r.ack_batching = batching;
-                    let (k, log) = Observed::wrap(Box::new(gpu_kernel(bench, sms, SCALE)), false);
-                    let out = r.standalone(k, 0, false).expect("finishes");
-                    let log = log.lock().expect("log").clone();
-                    (out, log)
-                };
-                let (eager, eager_log) = run(false, false, false);
-                for (events, batching) in [(true, true), (false, true), (true, false)] {
-                    let ctx =
-                        format!("{bench}/{sms} SMs/{backend}/events={events}/batching={batching}");
-                    let (got, log) = run(true, events, batching);
-                    assert_eq!(got.cycles, eager.cycles, "{ctx}: total cycles");
-                    assert_eq!(
-                        got.icnt_injections, eager.icnt_injections,
-                        "{ctx}: injections"
-                    );
-                    assert_mc_identical(&got.mc, &eager.mc, &ctx);
-                    assert!(log == eager_log, "{ctx}: completion cycles differ");
-                }
+                let ctx = format!("{bench}/{sms} SMs/{backend}");
+                assert_variants_match(&ctx, &cfg, PolicyKind::FrFcfs, |r| {
+                    solo(r, Box::new(gpu_kernel(bench, sms, SCALE)), false)
+                });
             }
         }
     }
@@ -264,19 +256,17 @@ fn compute_bound_mem_matches_eager_oracle() {
 /// Two looping MEM kernels, G10 on SMs 0-3 and G12 on SMs 4-7: the one
 /// that finishes first restarts and issues its second run while the
 /// other finishes its first. A restart voids the issue bounds its SMs
-/// sleep on. Fast-forward on and off must agree on cycles, first-run
-/// cycles, runs, controller stats and completion cycles, and so must a
-/// reference whose kernels are polled every cycle. Keeping wakes across
-/// a reset would silence the restarted kernel in both fast-forward modes
-/// alike; the reference is what catches that.
+/// sleep on. Fast-forward on and off must agree with the reference,
+/// whose issue stage polls every SM every cycle, on cycles, first-run
+/// cycles, runs, controller stats and completion logs. Keeping wakes
+/// across a reset would silence the restarted kernel in both
+/// fast-forward modes alike; the reference is what catches that.
 #[test]
 fn restarting_kernels_match_across_ff_modes() {
-    let run = |ff: bool, polled: bool| {
-        let mut sim = Simulator::new(SystemConfig::default(), PolicyKind::FrFcfs);
-        sim.set_fast_forward(ff);
+    let run = |mut sim: Simulator| {
         let mut logs = Vec::new();
         for (bench, first_sm) in [(GpuBenchmark(10), 0), (GpuBenchmark(12), 4)] {
-            let (k, log) = Observed::wrap(Box::new(gpu_kernel(bench, 4, SCALE)), polled);
+            let (k, log) = Observed::wrap(Box::new(gpu_kernel(bench, 4, SCALE)));
             sim.mount(k, (first_sm..first_sm + 4).collect(), false, true);
             logs.push(log);
         }
@@ -293,13 +283,11 @@ fn restarting_kernels_match_across_ff_modes() {
                 )
             })
             .collect();
-        let logs: Vec<Vec<Cycle>> = logs
-            .iter()
-            .map(|l| l.lock().expect("log").clone())
-            .collect();
+        let logs: Vec<Log> = logs.iter().map(take).collect();
         (cycles, kernels, sim.merged_mc_stats(), logs)
     };
-    let reference = run(false, true);
+    let cfg = SystemConfig::default();
+    let reference = run(Simulator::reference(cfg.clone(), PolicyKind::FrFcfs));
     assert!(
         reference
             .1
@@ -310,40 +298,37 @@ fn restarting_kernels_match_across_ff_modes() {
     );
     for ff in [false, true] {
         let ctx = format!("restart/ff={ff}");
-        let got = run(ff, false);
+        let mut sim = Simulator::new(cfg.clone(), PolicyKind::FrFcfs);
+        sim.set_fast_forward(ff);
+        let got = run(sim);
         assert_eq!(got.0, reference.0, "{ctx}: total cycles");
         assert_eq!(
             got.1, reference.1,
             "{ctx}: (first-run cycles, runs, injections, total) per kernel"
         );
-        assert_mc_identical(&got.2, &reference.2, &ctx);
-        assert!(got.3 == reference.3, "{ctx}: completion cycles differ");
+        assert!(got.2 == reference.2, "{ctx}: merged controller stats");
+        assert!(got.3 == reference.3, "{ctx}: completion logs differ");
     }
 }
 
 #[test]
 fn standalone_pim_matches_across_ff_modes() {
+    let base = SystemConfig::default();
     for vc_mode in [VcMode::Shared, VcMode::SplitPim] {
         let ctx = format!("pim/{vc_mode:?}");
-        let run = |ff: bool| {
-            runner(PolicyKind::FrFcfs, vc_mode, ff)
-                .standalone(
-                    Box::new(pim_kernel(PimBenchmark(1), 32, 4, 256, SCALE)),
-                    0,
-                    true,
-                )
-                .expect("finishes")
-        };
-        let on = run(true);
-        let off = run(false);
-        assert_eq!(on.cycles, off.cycles, "{ctx}: total cycles");
-        assert_eq!(on.icnt_injections, off.icnt_injections, "{ctx}: injections");
-        assert_mc_identical(&on.mc, &off.mc, &ctx);
+        assert_variants_match(&ctx, &with_vc(&base, vc_mode), PolicyKind::FrFcfs, |r| {
+            solo(
+                r,
+                Box::new(pim_kernel(PimBenchmark(1), 32, 4, 256, SCALE)),
+                true,
+            )
+        });
     }
 }
 
 #[test]
 fn coexec_matches_across_ff_modes() {
+    let base = SystemConfig::default();
     for policy in [
         PolicyKind::FrFcfs,
         PolicyKind::f3fs_competitive(),
@@ -351,155 +336,164 @@ fn coexec_matches_across_ff_modes() {
     ] {
         for vc_mode in [VcMode::Shared, VcMode::SplitPim] {
             let ctx = format!("{policy:?}/{vc_mode:?}");
-            let run = |ff: bool| {
-                runner(policy, vc_mode, ff).coexec(
+            assert_variants_match(&ctx, &with_vc(&base, vc_mode), policy, |r| {
+                coexec(
+                    r,
                     Box::new(gpu_kernel(GpuBenchmark(8), 16, SCALE)),
                     Box::new(pim_kernel(PimBenchmark(2), 32, 4, 256, SCALE)),
-                    true,
                 )
-            };
-            let on = run(true);
-            let off = run(false);
-            assert_eq!(on.gpu_first_run, off.gpu_first_run, "{ctx}: gpu first run");
-            assert_eq!(on.pim_first_run, off.pim_first_run, "{ctx}: pim first run");
-            assert_eq!(on.gpu_starved, off.gpu_starved, "{ctx}: gpu starved");
-            assert_eq!(on.pim_starved, off.pim_starved, "{ctx}: pim starved");
-            assert_eq!(on.total_cycles, off.total_cycles, "{ctx}: total cycles");
-            assert_mc_identical(&on.mc, &off.mc, &ctx);
+            });
         }
     }
 }
 
-/// Oracle property for the event-driven completion spine: with deferred,
-/// observability-gated delivery (`event_delivery = true`, the default)
-/// every observable of a run — total cycles, injections, merged
-/// controller stats — must be bit-identical to the eager per-tick reply
-/// path (`event_delivery = false`), and that must hold in both
-/// fast-forward modes. The matrix is deliberately completion-heavy: a
-/// pure PIM burst (every retirement is an out-of-band ack, the path the
-/// delivery gate defers) and a reply-saturated co-execution (deep reply
-/// queues keep the reply crossbar occupied, exercising the stage-6 skip
-/// gate's `replies_pending`/`has_traffic` horizon).
+/// The completion path under load. Stage 5 collects PIM acks on every
+/// cycle while a PIM kernel is mounted, and the reply gate runs stage 6
+/// only while a reply exists; the reference runs both every cycle. Two
+/// completion-heavy inputs, in both VC modes: a pure PIM burst, where
+/// acks land essentially every cycle, and a reply-saturated
+/// co-execution, where a wide MEM kernel keeps the reply network's
+/// queues deep while the PIM co-runner floods the ack wires.
 #[test]
-fn event_delivery_matches_eager_oracle() {
+fn completion_delivery_matches_reference() {
+    let base = SystemConfig::default();
     for vc_mode in [VcMode::Shared, VcMode::SplitPim] {
-        // PIM burst: acks land essentially every cycle; deferral batches
-        // them at throttle-wake and tail boundaries.
-        let pim = |ff: bool, events: bool| {
-            runner_ev(PolicyKind::FrFcfs, vc_mode, ff, events)
-                .standalone(
-                    Box::new(pim_kernel(PimBenchmark(1), 32, 4, 256, SCALE)),
-                    0,
-                    true,
-                )
-                .expect("finishes")
-        };
-        let eager = pim(false, false);
-        for (ff, events) in [(false, true), (true, true), (true, false)] {
-            let ctx = format!("pim-burst/{vc_mode:?}/ff={ff}/events={events}");
-            let got = pim(ff, events);
-            assert_eq!(got.cycles, eager.cycles, "{ctx}: total cycles");
-            assert_eq!(
-                got.icnt_injections, eager.icnt_injections,
-                "{ctx}: injections"
-            );
-            assert_mc_identical(&got.mc, &eager.mc, &ctx);
-        }
-
-        // Reply saturation: a wide MEM kernel keeps the reply network's
-        // queues deep while the PIM co-runner floods the ack wires.
-        let co = |ff: bool, events: bool| {
-            runner_ev(PolicyKind::f3fs_competitive(), vc_mode, ff, events).coexec(
-                Box::new(gpu_kernel(GpuBenchmark(15), 32, SCALE)),
-                Box::new(pim_kernel(PimBenchmark(2), 32, 4, 256, SCALE)),
+        let cfg = with_vc(&base, vc_mode);
+        let ctx = format!("pim-burst/{vc_mode:?}");
+        assert_variants_match(&ctx, &cfg, PolicyKind::FrFcfs, |r| {
+            solo(
+                r,
+                Box::new(pim_kernel(PimBenchmark(1), 32, 4, 256, SCALE)),
                 true,
             )
-        };
-        let eager = co(false, false);
-        for (ff, events) in [(false, true), (true, true), (true, false)] {
-            let ctx = format!("reply-sat/{vc_mode:?}/ff={ff}/events={events}");
-            let got = co(ff, events);
-            assert_eq!(got.gpu_first_run, eager.gpu_first_run, "{ctx}: gpu first");
-            assert_eq!(got.pim_first_run, eager.pim_first_run, "{ctx}: pim first");
-            assert_eq!(got.total_cycles, eager.total_cycles, "{ctx}: total cycles");
-            assert_mc_identical(&got.mc, &eager.mc, &ctx);
-        }
+        });
+        let ctx = format!("reply-sat/{vc_mode:?}");
+        assert_variants_match(&ctx, &cfg, PolicyKind::f3fs_competitive(), |r| {
+            coexec(
+                r,
+                Box::new(gpu_kernel(GpuBenchmark(15), 32, SCALE)),
+                Box::new(pim_kernel(PimBenchmark(2), 32, 4, 256, SCALE)),
+            )
+        });
     }
 }
 
-/// Oracle property for retire-time completion batching (DESIGN.md §4k):
-/// with batching on (the default) controllers emit each burst plan's
-/// acks as one retire-time batch, partitions re-sort them into
-/// time-ordered delivery schedules, and each partition lags through
-/// visits while it holds no MEM work; with batching off every
-/// completion goes through the per-tick heap and no partition ever lags
-/// (the eager oracle). Every observable — total cycles,
-/// injections, merged controller stats — must be bit-identical across
-/// the two modes, on both DRAM backends, in both fast-forward modes.
-/// The matrix runs VC1 (shared lanes maximize PIM/MEM interleaving in
-/// the staging ports, the pipeline-tolerant deferral's hard case).
+/// Retire-time completion batching (DESIGN.md §4k): with batching on
+/// (the default) controllers emit each burst plan's acks as one
+/// retire-time batch, partitions re-sort them into time-ordered delivery
+/// schedules, and each partition lags through visits while it holds no
+/// MEM work. Every observable, PIM completion logs included, must match
+/// the reference on both DRAM backends. The matrix runs VC1 (shared
+/// lanes maximize PIM/MEM interleaving in the staging ports).
 ///
 /// Two PIM inputs: the saturated burst (credit cap 256) and a throttled
 /// one (cap 4, the `pim_sparse_lp5x` shape). Every PIM eject catches
 /// its partition up through `partition_mut`, and a throttled kernel
 /// interleaves those catch-ups most tightly with the pull-driven ack
-/// drains that run whenever a warp sits at its cap: a pull skip
-/// loosened by 3 cycles passes the burst input and fails this one.
+/// drains: a pull skip loosened by 3 cycles passes the burst input and
+/// fails this one.
 #[test]
 fn ack_batching_matches_per_tick_oracle() {
     for (backend, cfg) in backends() {
         // The throttled kernel runs at a larger scale than the burst so
         // its warps spend most of the run at their cap.
         for (shape, cap, scale) in [("pim", 256, SCALE), ("pim-cap4", 4, 0.1)] {
-            let pim = |ff: bool, batching: bool| {
-                let mut r = Runner::new(cfg.clone(), PolicyKind::FrFcfs);
-                r.max_gpu_cycles = BUDGET;
-                r.fast_forward = ff;
-                r.ack_batching = batching;
-                r.standalone(
+            let ctx = format!("{shape}/{backend}");
+            assert_variants_match(&ctx, &cfg, PolicyKind::FrFcfs, |r| {
+                solo(
+                    r,
                     Box::new(pim_kernel(PimBenchmark(1), 32, 4, cap, scale)),
-                    0,
                     true,
                 )
-                .expect("finishes")
-            };
-            let eager = pim(false, false);
-            for (ff, batching) in [(false, true), (true, true), (true, false)] {
-                let ctx = format!("{shape}/{backend}/ff={ff}/batching={batching}");
-                let got = pim(ff, batching);
-                assert_eq!(got.cycles, eager.cycles, "{ctx}: total cycles");
-                assert_eq!(
-                    got.icnt_injections, eager.icnt_injections,
-                    "{ctx}: injections"
-                );
-                assert_mc_identical(&got.mc, &eager.mc, &ctx);
-            }
+            });
         }
-
-        // Co-execution: MEM traffic voids deferral on its partitions and
-        // ejects trigger mid-window catch-up on the PIM side — the
-        // batched path's replay machinery under maximum churn.
-        let co = |ff: bool, batching: bool| {
-            let mut r = Runner::new(cfg.clone(), PolicyKind::f3fs_competitive());
-            r.max_gpu_cycles = BUDGET;
-            r.fast_forward = ff;
-            r.ack_batching = batching;
-            r.coexec(
+        // Co-execution: MEM traffic keeps its partitions live while PIM
+        // ejects catch lagging ones up mid-lag.
+        let ctx = format!("coexec/{backend}");
+        assert_variants_match(&ctx, &cfg, PolicyKind::f3fs_competitive(), |r| {
+            coexec(
+                r,
                 Box::new(gpu_kernel(GpuBenchmark(8), 16, SCALE)),
                 Box::new(pim_kernel(PimBenchmark(2), 32, 4, 256, SCALE)),
-                true,
             )
-        };
-        let eager = co(false, false);
-        for (ff, batching) in [(false, true), (true, true), (true, false)] {
-            let ctx = format!("coexec/{backend}/ff={ff}/batching={batching}");
-            let got = co(ff, batching);
-            assert_eq!(got.gpu_first_run, eager.gpu_first_run, "{ctx}: gpu first");
-            assert_eq!(got.pim_first_run, eager.pim_first_run, "{ctx}: pim first");
-            assert_eq!(got.total_cycles, eager.total_cycles, "{ctx}: total cycles");
-            assert_mc_identical(&got.mc, &eager.mc, &ctx);
+        });
+    }
+}
+
+/// One run of the reference matrix.
+#[derive(Debug, Clone, Copy)]
+enum Case {
+    /// A Rodinia kernel alone on this many SMs.
+    Mem(GpuBenchmark, usize),
+    /// A PIM kernel alone at this per-warp credit cap.
+    Pim(PimBenchmark, u32),
+    /// A GPU kernel on 16 SMs next to a PIM kernel, under a policy.
+    Coexec(GpuBenchmark, PimBenchmark, PolicyKind),
+}
+
+/// The default against the reference over a wide matrix, 248 runs: G3,
+/// G7, G10, G11, G12 and G15 alone on 1, 8 and 16 SMs; P1-P4 alone at
+/// credit caps 256 and 4; and G8+P2, G15+P1, G4+P1 and G11+P4 under all
+/// nine policies — each on HBM and LP5X, under VC1 and VC2. Every run
+/// must match on cycles, injections or first runs, merged controller
+/// stats and every kernel's completion log. Too slow for a debug build;
+/// the release pass of `scripts/tier1.sh` runs it.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "about 25 s in debug; run with --release")]
+fn default_matches_reference_matrix() {
+    let mut cases = Vec::new();
+    for bench in [3, 7, 10, 11, 12, 15] {
+        for sms in [1, 8, 16] {
+            cases.push(Case::Mem(GpuBenchmark(bench), sms));
         }
     }
+    for bench in 1..=4 {
+        for cap in [256, 4] {
+            cases.push(Case::Pim(PimBenchmark(bench), cap));
+        }
+    }
+    for (gpu, pim) in [(8, 2), (15, 1), (4, 1), (11, 4)] {
+        for policy in PolicyKind::all() {
+            cases.push(Case::Coexec(GpuBenchmark(gpu), PimBenchmark(pim), policy));
+        }
+    }
+    let mut runs = Vec::new();
+    for (backend, cfg) in backends() {
+        for vc_mode in [VcMode::Shared, VcMode::SplitPim] {
+            for &case in &cases {
+                runs.push((backend, with_vc(&cfg, vc_mode), case));
+            }
+        }
+    }
+    let total = runs.len();
+    assert_eq!(total, 248);
+    let failures: Vec<String> = parallel_map(runs, |(backend, cfg, case)| {
+        let vc = cfg.noc.vc_mode;
+        let run = |r: &Runner| match case {
+            Case::Mem(bench, sms) => solo(r, Box::new(gpu_kernel(bench, sms, SCALE)), false),
+            Case::Pim(bench, cap) => solo(r, Box::new(pim_kernel(bench, 32, 4, cap, SCALE)), true),
+            Case::Coexec(gpu, pim, _) => coexec(
+                r,
+                Box::new(gpu_kernel(gpu, 16, SCALE)),
+                Box::new(pim_kernel(pim, 32, 4, 256, SCALE)),
+            ),
+        };
+        let policy = match case {
+            Case::Coexec(_, _, policy) => policy,
+            _ => PolicyKind::FrFcfs,
+        };
+        mismatch(&run(&runner(&cfg, policy)), &run(&reference(&cfg, policy)))
+            .map(|diff| format!("{case:?}/{backend}/{vc:?}: {diff}"))
+    })
+    .into_iter()
+    .flatten()
+    .collect();
+    assert!(
+        failures.is_empty(),
+        "{} of {total} runs differ from the reference; first: {}",
+        failures.len(),
+        failures[0]
+    );
 }
 
 /// Every partition's controller as a caller sees it between steps:
@@ -522,9 +516,8 @@ fn partition_states(sim: &Simulator) -> Vec<(usize, usize, Mode, u64)> {
 /// and callers read partitions between steps (`examples/mode_timeline.rs`
 /// and `examples/congestion_anatomy.rs` do). So each step must leave
 /// every partition current: cycle by cycle, the state must match the
-/// eager run with ack batching off, in which no partition ever lags.
-/// Two inputs: P1 alone, and P1 next to G11 under the three policies
-/// `mode_timeline` draws.
+/// reference, in which no partition ever lags. Two inputs: P1 alone, and
+/// P1 next to G11 under the three policies `mode_timeline` draws.
 #[test]
 fn public_step_matches_eager_oracle_every_cycle() {
     const CYCLES: u64 = 2_400;
@@ -535,9 +528,7 @@ fn public_step_matches_eager_oracle_every_cycle() {
         ("P1+G11", PolicyKind::f3fs_competitive(), true),
     ];
     for (name, policy, with_gpu) in inputs {
-        let build = |batching: bool| {
-            let mut sim = Simulator::new(SystemConfig::default(), policy);
-            sim.set_ack_batching(batching);
+        let build = |mut sim: Simulator| {
             let pim = pim_kernel(PimBenchmark(1), 32, 4, 256, 0.3);
             sim.mount(Box::new(pim), (0..8).collect(), true, true);
             if with_gpu {
@@ -546,19 +537,24 @@ fn public_step_matches_eager_oracle_every_cycle() {
             }
             sim
         };
-        let (mut lazy, mut eager) = (build(true), build(false));
+        let cfg = SystemConfig::default();
+        let mut fast = build(Simulator::new(cfg.clone(), policy));
+        let mut reference = build(Simulator::reference(cfg, policy));
         for cycle in 0..CYCLES {
-            lazy.step();
-            eager.step();
+            fast.step();
+            reference.step();
             assert_eq!(
-                partition_states(&lazy),
-                partition_states(&eager),
+                partition_states(&fast),
+                partition_states(&reference),
                 "{name} under {}: partitions after cycle {cycle}",
                 policy.label()
             );
         }
-        let ctx = format!("{name} under {}", policy.label());
-        assert_mc_identical(&lazy.merged_mc_stats(), &eager.merged_mc_stats(), &ctx);
+        assert!(
+            fast.merged_mc_stats() == reference.merged_mc_stats(),
+            "{name} under {}: merged controller stats",
+            policy.label()
+        );
     }
 }
 
@@ -603,17 +599,28 @@ fn mem_sparse_fast_forward_is_batching_independent() {
 fn determinism_holds_through_parallel_map() {
     // The same configuration dispatched twice through the sweep machinery
     // (worker threads claim work in nondeterministic order) must produce
-    // identical outcomes, fast-forward on or off.
-    let jobs: Vec<bool> = vec![true, false, true, false];
-    let outcomes = parallel_map(jobs, |ff| {
-        let out = runner(PolicyKind::f3fs_competitive(), VcMode::SplitPim, ff).coexec(
+    // identical outcomes, on the default and on the reference alike.
+    let mut cfg = SystemConfig::default();
+    cfg.noc.vc_mode = VcMode::SplitPim;
+    let policy = PolicyKind::f3fs_competitive();
+    let jobs: Vec<bool> = vec![false, true, false, true];
+    let outcomes = parallel_map(jobs, |is_reference| {
+        let r = if is_reference {
+            reference(&cfg, policy)
+        } else {
+            runner(&cfg, policy)
+        };
+        let out = r.coexec(
             Box::new(gpu_kernel(GpuBenchmark(5), 16, SCALE)),
             Box::new(pim_kernel(PimBenchmark(3), 32, 4, 256, SCALE)),
             true,
         );
         (out.gpu_first_run, out.pim_first_run, out.total_cycles)
     });
-    assert_eq!(outcomes[0], outcomes[1], "ff-on vs ff-off through sweep");
-    assert_eq!(outcomes[0], outcomes[2], "ff-on repeat");
-    assert_eq!(outcomes[1], outcomes[3], "ff-off repeat");
+    assert_eq!(
+        outcomes[0], outcomes[1],
+        "default vs reference through sweep"
+    );
+    assert_eq!(outcomes[0], outcomes[2], "default repeat");
+    assert_eq!(outcomes[1], outcomes[3], "reference repeat");
 }
