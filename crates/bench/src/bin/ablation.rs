@@ -66,7 +66,7 @@ fn main() {
     let default: Switch = |_| {};
     let switches: [(&str, Switch); 3] = [
         ("fast_forward_off", |r| r.fast_forward = false),
-        ("ack_batching_off", |r| r.ack_batching = false),
+        ("partition_lag_off", |r| r.partition_lag = false),
         ("reference", |r| {
             let mut reference = Runner::reference(r.system.clone(), r.policy);
             reference.max_gpu_cycles = r.max_gpu_cycles;

@@ -250,23 +250,23 @@ fn main() {
                 mix.burst_retired > 0,
                 "{name} retired no cycles through burst plans"
             );
-            // Structural gates for retire-time batching (DESIGN.md §4k).
-            // Production-side deferral must cut the memory stage's tick
-            // count at least 3x below one-tick-per-cycle; all-PIM traffic
-            // must route its acks through the retire-time batch (a zero
-            // counter means batching silently disengaged and the oracle
-            // equality is comparing eager against eager).
+            // Structural gates for partition lag and closed-form plan
+            // replay (DESIGN.md §4k, §4h). Lagging partitions must cut
+            // the memory stage's tick count at least 3x below
+            // one-tick-per-cycle, and catch-ups must replay whole plan
+            // windows in closed form (a zero count means plan replay
+            // silently switched off and every plan tick is stepped).
             assert!(
                 mix.ticks_memory * 3 <= prof.stepped_cycles,
                 "{name}: memory stage ran {} ticks over {} stepped cycles; \
-                 retire-time batching should defer production at least 3x \
+                 partition lag should defer production at least 3x \
                  below the per-cycle baseline",
                 mix.ticks_memory,
                 prof.stepped_cycles
             );
             assert!(
-                mix.acks_batched > 0,
-                "{name}: no acks went through the retire-time batch"
+                mix.plan_spans_replayed > 0,
+                "{name}: no burst-plan window was replayed in closed form"
             );
         }
         let total = prof.total_ns().max(1);
@@ -303,8 +303,8 @@ fn main() {
             mix.completions_delivered
         );
         println!(
-            "  {:16} batching: {} retire batches / {} acks batched / {} plan spans replayed",
-            "", mix.ack_batches, mix.acks_batched, mix.plan_spans_replayed
+            "  {:16} deposits: {} acks deposited / {} plan spans replayed",
+            "", mix.acks_batched, mix.plan_spans_replayed
         );
         let window = mix.mean_deferral_window().unwrap_or(0.0);
         println!(
@@ -332,7 +332,6 @@ fn main() {
                 "        \"bursts_planned\": {},\n",
                 "        \"burst_ops\": {},\n",
                 "        \"burst_hit_rate\": {:.4},\n",
-                "        \"ack_batches\": {},\n",
                 "        \"acks_batched\": {},\n",
                 "        \"plan_spans_replayed\": {},\n",
                 "        \"replay_batches\": {},\n",
@@ -372,7 +371,6 @@ fn main() {
             mix.bursts_planned,
             mix.burst_ops,
             hit_rate,
-            mix.ack_batches,
             mix.acks_batched,
             mix.plan_spans_replayed,
             mix.replay_batches,

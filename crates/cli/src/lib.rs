@@ -13,6 +13,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::io::{self, Write};
+
 use pimsim_core::PolicyKind;
 use pimsim_sim::Runner;
 use pimsim_types::{DramBackendKind, SystemConfig, VcMode};
@@ -137,6 +139,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, ParseCliError> {
         "list" => Ok(Command::List),
         "standalone" | "coexec" | "collab" => {
             let mut opts = RunOpts::default();
+            let mut sms_given = false;
             let mut mem_cap: Option<u64> = None;
             let mut pim_cap: Option<u64> = None;
             let mut it = rest.iter();
@@ -152,7 +155,8 @@ pub fn parse_args(args: &[String]) -> Result<Command, ParseCliError> {
                     "--sms" => {
                         opts.sms = value("--sms")?
                             .parse()
-                            .map_err(|_| ParseCliError("--sms needs an integer".into()))?
+                            .map_err(|_| ParseCliError("--sms needs an integer".into()))?;
+                        sms_given = true;
                     }
                     "--policy" => opts.policy = parse_policy(&value("--policy")?)?,
                     "--dram" => opts.dram = parse_dram(&value("--dram")?)?,
@@ -190,6 +194,32 @@ pub fn parse_args(args: &[String]) -> Result<Command, ParseCliError> {
                     other => return err(format!("unknown flag: {other}")),
                 }
             }
+            // Each subcommand's kernels, and a flag it would ignore.
+            match sub.as_str() {
+                "standalone" if opts.gpu.is_some() == opts.pim.is_some() => {
+                    return err("standalone needs exactly one of --gpu or --pim");
+                }
+                "coexec" if opts.gpu.is_none() || opts.pim.is_none() => {
+                    return err("coexec needs both --gpu and --pim");
+                }
+                "collab" if opts.gpu.is_some() => {
+                    return err("collab takes no --gpu: it runs the fixed LLM scenario");
+                }
+                "collab" if opts.pim.is_some() => {
+                    return err("collab takes no --pim: it runs the fixed LLM scenario");
+                }
+                _ => {}
+            }
+            if sms_given && (sub != "standalone" || opts.pim.is_some()) {
+                let fixed = if sub == "standalone" {
+                    "a PIM kernel"
+                } else {
+                    sub
+                };
+                return err(format!(
+                    "--sms applies only to standalone --gpu; the SMs are fixed for {fixed}"
+                ));
+            }
             if !pimsim_workloads::valid_scale(opts.scale) {
                 return err(format!(
                     "--scale must be finite and positive, got {}",
@@ -208,21 +238,11 @@ pub fn parse_args(args: &[String]) -> Result<Command, ParseCliError> {
                         .map_err(|e| ParseCliError(format!("--{key}: {e}")))?;
                 }
             }
-            match sub.as_str() {
-                "standalone" => {
-                    if opts.gpu.is_some() == opts.pim.is_some() {
-                        return err("standalone needs exactly one of --gpu or --pim");
-                    }
-                    Ok(Command::Standalone(opts))
-                }
-                "coexec" => {
-                    if opts.gpu.is_none() || opts.pim.is_none() {
-                        return err("coexec needs both --gpu and --pim");
-                    }
-                    Ok(Command::Coexec(opts))
-                }
-                _ => Ok(Command::Collab(opts)),
-            }
+            Ok(match sub.as_str() {
+                "standalone" => Command::Standalone(opts),
+                "coexec" => Command::Coexec(opts),
+                _ => Command::Collab(opts),
+            })
         }
         other => err(format!("unknown subcommand: {other}")),
     }
@@ -247,64 +267,81 @@ fn system_for(opts: &RunOpts) -> SystemConfig {
     system
 }
 
-fn print_mc_stats(mc: &pimsim_core::McStats) {
-    println!("memory controller:");
-    println!(
+fn print_mc_stats(out: &mut impl Write, mc: &pimsim_core::McStats) -> io::Result<()> {
+    writeln!(out, "memory controller:")?;
+    writeln!(
+        out,
         "  served: {} MEM / {} PIM; switches: {} ({} MEM->PIM)",
         mc.mem_served, mc.pim_served, mc.switches, mc.switches_mem_to_pim
-    );
+    )?;
     if let Some(r) = mc.mem_rbhr() {
-        println!("  MEM row-buffer hit rate: {:.1}%", r * 100.0);
+        writeln!(out, "  MEM row-buffer hit rate: {:.1}%", r * 100.0)?;
     }
     if let Some(r) = mc.pim_rbhr() {
-        println!("  PIM row-buffer hit rate: {:.1}%", r * 100.0);
+        writeln!(out, "  PIM row-buffer hit rate: {:.1}%", r * 100.0)?;
     }
     if let Some(b) = mc.avg_blp() {
-        println!("  avg bank-level parallelism: {b:.1}");
+        writeln!(out, "  avg bank-level parallelism: {b:.1}")?;
     }
     for (label, h) in [("MEM", &mc.mem_latency), ("PIM", &mc.pim_latency)] {
         if h.count() > 0 {
-            println!(
+            writeln!(
+                out,
                 "  {label} latency (DRAM cycles): mean {:.0}, p50 {}, p99 {}, max {}",
                 h.mean().unwrap_or(0.0),
                 h.quantile(0.5).unwrap_or(0),
                 h.quantile(0.99).unwrap_or(0),
                 h.max()
-            );
+            )?;
+        }
+    }
+    Ok(())
+}
+
+/// Executes a parsed command, writing its report to `out` (runtime
+/// errors go to stderr). Returns a process exit code: 0 on success, 1 on
+/// a runtime error. A reader that closes `out` early (`pimsim list |
+/// head -1`) ends the command normally, with exit code 0.
+pub fn run(cmd: Command, out: &mut impl Write) -> i32 {
+    match execute(cmd, out).and_then(|code| out.flush().map(|()| code)) {
+        Ok(code) => code,
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => 0,
+        Err(e) => {
+            eprintln!("error: writing output: {e}");
+            1
         }
     }
 }
 
-/// Executes a parsed command. Returns a process exit code.
-pub fn run(cmd: Command) -> i32 {
-    match cmd {
+fn execute(cmd: Command, out: &mut impl Write) -> io::Result<i32> {
+    Ok(match cmd {
         Command::List => {
-            println!("GPU benchmarks (Table II):");
+            writeln!(out, "GPU benchmarks (Table II):")?;
             for b in GpuBenchmark::all() {
-                println!("  {b}");
+                writeln!(out, "  {b}")?;
             }
-            println!("PIM benchmarks (Table III):");
+            writeln!(out, "PIM benchmarks (Table III):")?;
             for b in PimBenchmark::all() {
-                println!("  {b}");
+                writeln!(out, "  {b}")?;
             }
-            println!("policies (--policy <name[:key=value,...]>):");
+            writeln!(out, "policies (--policy <name[:key=value,...]>):")?;
             for d in pimsim_core::policy::registry::descriptors() {
-                println!("  {:<20} {}", d.name, d.summary);
+                writeln!(out, "  {:<20} {}", d.name, d.summary)?;
                 if !d.aliases.is_empty() {
-                    println!("  {:<20}   aliases: {}", "", d.aliases.join(", "));
+                    writeln!(out, "  {:<20}   aliases: {}", "", d.aliases.join(", "))?;
                 }
                 for p in d.params {
-                    println!("  {:<20}   {}: {}", "", p.key, p.help);
+                    writeln!(out, "  {:<20}   {}: {}", "", p.key, p.help)?;
                 }
             }
-            println!("DRAM backends (--dram <name[:key=value,...]>):");
+            writeln!(out, "DRAM backends (--dram <name[:key=value,...]>):")?;
             for d in pimsim_dram::backend::descriptors() {
-                println!("  {:<20} {}", d.name, d.summary);
+                writeln!(out, "  {:<20} {}", d.name, d.summary)?;
                 if !d.aliases.is_empty() {
-                    println!("  {:<20}   aliases: {}", "", d.aliases.join(", "));
+                    writeln!(out, "  {:<20}   aliases: {}", "", d.aliases.join(", "))?;
                 }
                 for p in d.params {
-                    println!("  {:<20}   {}: {}", "", p.key, p.help);
+                    writeln!(out, "  {:<20}   {}: {}", "", p.key, p.help)?;
                 }
             }
             0
@@ -317,15 +354,20 @@ pub fn run(cmd: Command) -> i32 {
             let mut runner = Runner::new(system, opts.policy);
             runner.max_gpu_cycles = opts.budget;
             let result = if let Some(g) = opts.gpu {
-                println!("standalone {g} on {} SMs (scale {})", opts.sms, opts.scale);
+                writeln!(
+                    out,
+                    "standalone {g} on {} SMs (scale {})",
+                    opts.sms, opts.scale
+                )?;
                 runner.standalone(Box::new(gpu_kernel(g, opts.sms, opts.scale)), 0, false)
             } else {
                 let p = opts.pim.expect("validated");
-                println!(
+                writeln!(
+                    out,
                     "standalone {p} on {} SMs (scale {})",
                     channels / warps,
                     opts.scale
-                );
+                )?;
                 runner.standalone(
                     Box::new(pim_kernel(p, channels, warps, outstanding, opts.scale)),
                     0,
@@ -333,14 +375,15 @@ pub fn run(cmd: Command) -> i32 {
                 )
             };
             match result {
-                Ok(out) => {
-                    println!(
+                Ok(o) => {
+                    writeln!(
+                        out,
                         "execution time: {} GPU cycles; icnt rate {:.1}/kcyc, DRAM rate {:.1}/kcyc",
-                        out.cycles,
-                        out.icnt_rate(),
-                        out.dram_rate()
-                    );
-                    print_mc_stats(&out.mc);
+                        o.cycles,
+                        o.icnt_rate(),
+                        o.dram_rate()
+                    )?;
+                    print_mc_stats(out, &o.mc)?;
                     0
                 }
                 Err(e) => {
@@ -356,17 +399,18 @@ pub fn run(cmd: Command) -> i32 {
             let outstanding = system.gpu.max_outstanding_pim_per_warp as u32;
             let channels = system.dram.channels;
             let warps = system.gpu.pim_warps_per_sm;
-            println!(
+            writeln!(
+                out,
                 "coexec {g} (72 SMs) + {p} (8 SMs), {} under {} (scale {})",
                 opts.vc, opts.policy, opts.scale
-            );
+            )?;
             // Standalone baselines for the metrics.
             let solo = Runner::new(system_for(&opts), PolicyKind::FrFcfs);
             let ga = match solo.standalone(Box::new(gpu_kernel(g, 80, opts.scale)), 0, false) {
                 Ok(o) => o.cycles,
                 Err(e) => {
                     eprintln!("error: GPU baseline: {e}");
-                    return 1;
+                    return Ok(1);
                 }
             };
             let pa = match solo.standalone(
@@ -377,48 +421,51 @@ pub fn run(cmd: Command) -> i32 {
                 Ok(o) => o.cycles,
                 Err(e) => {
                     eprintln!("error: PIM baseline: {e}");
-                    return 1;
+                    return Ok(1);
                 }
             };
             let mut runner = Runner::new(system, opts.policy);
             runner.max_gpu_cycles = opts.budget;
-            let out = runner.coexec(
+            let o = runner.coexec(
                 Box::new(gpu_kernel(g, 72, opts.scale)),
                 Box::new(pim_kernel(p, channels, warps, outstanding, opts.scale)),
                 true,
             );
-            let m = out.metrics(ga, pa);
-            println!(
+            let m = o.metrics(ga, pa);
+            writeln!(
+                out,
                 "first runs: GPU {} cycles{}, PIM {} cycles{}",
-                out.gpu_first_run,
-                if out.gpu_starved { " (STARVED)" } else { "" },
-                out.pim_first_run,
-                if out.pim_starved { " (STARVED)" } else { "" },
-            );
-            println!(
+                o.gpu_first_run,
+                if o.gpu_starved { " (STARVED)" } else { "" },
+                o.pim_first_run,
+                if o.pim_starved { " (STARVED)" } else { "" },
+            )?;
+            writeln!(
+                out,
                 "speedups: MEM {:.3}, PIM {:.3}; fairness index {:.3}, system throughput {:.3}",
                 m.mem_speedup,
                 m.pim_speedup,
                 m.fairness_index(),
                 m.system_throughput()
-            );
-            print_mc_stats(&out.mc);
+            )?;
+            print_mc_stats(out, &o.mc)?;
             0
         }
         Command::Collab(opts) => {
             let system = system_for(&opts);
             let outstanding = system.gpu.max_outstanding_pim_per_warp as u32;
-            println!(
+            writeln!(
+                out,
                 "collaborative LLM (QKV + MHA), {} under {} (scale {})",
                 opts.vc, opts.policy, opts.scale
-            );
+            )?;
             let solo = Runner::new(system_for(&opts), PolicyKind::FrFcfs);
             let s = llm_scenario(72, 32, 4, outstanding, opts.scale);
             let qa = match solo.standalone(Box::new(s.qkv), 8, false) {
                 Ok(o) => o.cycles,
                 Err(e) => {
                     eprintln!("error: QKV baseline: {e}");
-                    return 1;
+                    return Ok(1);
                 }
             };
             let s = llm_scenario(72, 32, 4, outstanding, opts.scale);
@@ -426,24 +473,26 @@ pub fn run(cmd: Command) -> i32 {
                 Ok(o) => o.cycles,
                 Err(e) => {
                     eprintln!("error: MHA baseline: {e}");
-                    return 1;
+                    return Ok(1);
                 }
             };
             let mut runner = Runner::new(system, opts.policy);
             runner.max_gpu_cycles = opts.budget;
             let s = llm_scenario(72, 32, 4, outstanding, opts.scale);
             match runner.collaborative(Box::new(s.qkv), Box::new(s.mha)) {
-                Ok(out) => {
-                    println!(
+                Ok(o) => {
+                    writeln!(
+                        out,
                         "QKV alone {qa}, MHA alone {ma}, concurrent {} cycles",
-                        out.concurrent_cycles
-                    );
-                    println!(
+                        o.concurrent_cycles
+                    )?;
+                    writeln!(
+                        out,
                         "speedup vs sequential: {:.3} (ideal {:.3})",
-                        out.speedup(qa, ma),
+                        o.speedup(qa, ma),
                         pimsim_sim::CollabOutcome::ideal_speedup(qa, ma)
-                    );
-                    print_mc_stats(&out.mc);
+                    )?;
+                    print_mc_stats(out, &o.mc)?;
                     0
                 }
                 Err(e) => {
@@ -452,7 +501,7 @@ pub fn run(cmd: Command) -> i32 {
                 }
             }
         }
-    }
+    })
 }
 
 #[cfg(test)]
@@ -603,6 +652,54 @@ mod tests {
         }
         assert!(parse_args(&args("standalone --gpu G4 --sms 1")).is_ok());
         assert!(parse_args(&args("standalone --gpu G4 --sms 80")).is_ok());
+    }
+
+    #[test]
+    fn rejects_sms_where_the_subcommand_fixes_the_sms() {
+        for (line, fixed) in [
+            ("coexec --gpu G1 --pim P1 --sms 3", "coexec"),
+            ("standalone --pim P1 --sms 3", "a PIM kernel"),
+            ("collab --sms 3", "collab"),
+        ] {
+            let e = parse_args(&args(line)).unwrap_err();
+            assert!(
+                e.0.contains("--sms applies only to standalone --gpu")
+                    && e.0.ends_with(&format!("fixed for {fixed}")),
+                "{line}: {e}"
+            );
+        }
+    }
+
+    #[test]
+    fn rejects_kernels_on_collab() {
+        for flag in ["--gpu G4", "--pim P1"] {
+            let e = parse_args(&args(&format!("collab {flag}"))).unwrap_err();
+            let name = flag.split_whitespace().next().unwrap();
+            assert!(e.0.contains(&format!("collab takes no {name}")), "{e}");
+        }
+    }
+
+    /// A reader that has gone away: every write fails with `BrokenPipe`.
+    struct ClosedPipe;
+
+    impl Write for ClosedPipe {
+        fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+            Err(io::ErrorKind::BrokenPipe.into())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Err(io::ErrorKind::BrokenPipe.into())
+        }
+    }
+
+    #[test]
+    fn a_closed_pipe_ends_the_output_normally() {
+        assert_eq!(run(Command::List, &mut ClosedPipe), 0);
+        let mut listing = Vec::new();
+        assert_eq!(run(Command::List, &mut listing), 0);
+        let listing = String::from_utf8(listing).expect("UTF-8");
+        assert!(listing.starts_with("GPU benchmarks"), "{listing}");
+        assert!(listing.contains("lp5x"), "{listing}");
     }
 
     #[test]

@@ -3,7 +3,10 @@
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match pimsim_cli::parse_args(&args) {
-        Ok(cmd) => std::process::exit(pimsim_cli::run(cmd)),
+        Ok(cmd) => {
+            let code = pimsim_cli::run(cmd, &mut std::io::stdout().lock());
+            std::process::exit(code)
+        }
         Err(e) => {
             eprintln!("error: {e}");
             eprintln!("{}", pimsim_cli::USAGE);

@@ -18,6 +18,7 @@ use pimsim_types::{
 use crate::mem_index::{key_age, key_bank, rank_key, MAX_BANKS};
 use crate::policy::SchedulePolicy;
 use crate::queue::{McQueues, QueuedRequest};
+use crate::schedule::Schedule;
 
 /// A serviced request leaving the controller.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -206,12 +207,9 @@ pub struct StepMix {
     /// Kernel completions retired (PIM acks + MEM replies). The
     /// denominator of the ticks-per-completion structural gate.
     pub completions_delivered: u64,
-    /// Retire-time completion batches emitted (one per burst plan whose
-    /// acks were deposited as a timestamped batch; DESIGN.md §4k).
-    pub ack_batches: u64,
-    /// PIM completions emitted through the retire-time batch path instead
-    /// of the per-tick completion heap. Zero means the batching path
-    /// silently disengaged — the tier-1 smoke fails on that.
+    /// PIM completions deposited into the controller's ack schedule
+    /// (every PIM op's, at issue; DESIGN.md §4k). pimbench reads it as
+    /// `batch.acks_batched`.
     pub acks_batched: u64,
     /// Burst-plan windows bulk-replayed by `plan_replay_span` (each span
     /// covers many `burst_retired` ticks in one call).
@@ -259,7 +257,6 @@ impl pimsim_stats::Mergeable for StepMix {
         self.ticks_reply_net += o.ticks_reply_net;
         self.ticks_completion += o.ticks_completion;
         self.completions_delivered += o.completions_delivered;
-        self.ack_batches += o.ack_batches;
         self.acks_batched += o.acks_batched;
         self.plan_spans_replayed += o.plan_spans_replayed;
         self.requests_batched += o.requests_batched;
@@ -288,7 +285,23 @@ pub struct MemoryController {
     mode: Mode,
     switch: Option<SwitchInProgress>,
     policy: Box<dyn SchedulePolicy>,
+    /// MEM fills and writebacks in flight, popped at their
+    /// data-completion cycle. PIM completions never enter it: they go to
+    /// `acks`.
     completions: BinaryHeap<Completion>,
+    /// PIM completions, deposited — already timestamped — the moment an
+    /// op's data-completion cycle is known: at its issue, or for a whole
+    /// burst plan at the plan's creation (§4h computes every op's cycle
+    /// in closed form). The paper returns a PIM op's ack as an
+    /// out-of-band credit whose cycle is fixed at issue, so the owner
+    /// drains the due prefix by cycle and each ack is observable at
+    /// exactly that cycle (DESIGN.md §4k).
+    acks: Schedule,
+    /// One past the latest `at` ever deposited into `acks`. The
+    /// controller is not idle before it, just as it stays busy while a
+    /// completion waits in `completions`; the idle fast path and every
+    /// stats integral depend on that.
+    acks_until: Cycle,
     /// Rows open at the last MEM→PIM switch; used to attribute reopened
     /// rows to the switch (Figure 10b).
     rows_at_switch: Vec<Option<u32>>,
@@ -345,34 +358,13 @@ pub struct MemoryController {
     burst_completions: Vec<Cycle>,
     /// The plan's not-yet-issued ops, front = next to issue: the popped
     /// request, its data-completion cycle, and its frozen bypass flag.
-    /// Per-op accounting (stats, policy hook, engine op, completion
-    /// hand-off) runs at each op's analytic issue cycle, so a stats
-    /// snapshot taken mid-plan is bit-identical to per-cycle stepping.
+    /// Per-op accounting (stats, policy hook, engine op) runs at each
+    /// op's analytic issue cycle, so a stats snapshot taken mid-plan is
+    /// bit-identical to per-cycle stepping.
     plan_ops: VecDeque<(QueuedRequest, Cycle, bool)>,
     /// `channel.row_epoch()` at the last `open_rows` rebuild; the scratch
     /// view is only rebuilt when the channel's row state actually moved.
     open_rows_epoch: u64,
-    /// Retire-time ack batching (DESIGN.md §4k): with it on, PIM
-    /// completions bypass the per-tick `completions` heap and are
-    /// deposited — already timestamped — into `ack_batch` the moment
-    /// their data-completion cycle is known in closed form (at burst
-    /// retirement, or at single-op issue). The owner harvests the batch
-    /// after every state-mutating call and re-sorts it into a
-    /// time-ordered delivery schedule, so each ack is still *observable*
-    /// at its exact tick. `false` is the eager oracle path.
-    ack_batching: bool,
-    /// Timestamped PIM completions awaiting harvest by the owner, in
-    /// deposit order — ascending `at` within a plan, so a FIFO harvest
-    /// hands the owner's delivery schedule a monotone stream (its O(1)
-    /// sorted lane, no heap traffic).
-    ack_batch: VecDeque<Completion>,
-    /// Monotone max `at` over all batched PIM completions ever emitted.
-    /// While `now <= ack_horizon` the controller reports itself non-idle,
-    /// replicating exactly the cycles the eager path keeps a PIM
-    /// completion in its heap — the idle fast path and the stats
-    /// integrals therefore match the eager oracle bit for bit. `0` means
-    /// no batched ack was ever emitted (real completions land at `at > 0`).
-    ack_horizon: Cycle,
     mix: StepMix,
     stats: McStats,
 }
@@ -402,6 +394,8 @@ impl MemoryController {
             switch: None,
             policy,
             completions: BinaryHeap::new(),
+            acks: Schedule::default(),
+            acks_until: 0,
             rows_at_switch: vec![None; banks],
             open_rows: vec![None; banks],
             scratch_order: Vec::with_capacity(banks),
@@ -421,13 +415,6 @@ impl MemoryController {
             burst_completions: Vec::new(),
             plan_ops: VecDeque::new(),
             open_rows_epoch: u64::MAX,
-            // Off at the raw-controller level: a bare `MemoryController`
-            // has no harvesting owner, so batched acks would pile up
-            // unobserved (and `is_idle` would pin false). The simulator's
-            // partition owns a delivery schedule and turns this on.
-            ack_batching: false,
-            ack_batch: VecDeque::new(),
-            ack_horizon: 0,
             mix: StepMix::default(),
             stats: McStats::default(),
         }
@@ -455,29 +442,6 @@ impl MemoryController {
             "cannot toggle burst retirement mid-plan"
         );
         self.burst_enabled = enabled;
-    }
-
-    /// Enables (or disables) retire-time ack batching. Off by default at
-    /// this level — only an owner that harvests `pop_batched_ack` into a
-    /// time-ordered delivery schedule (the simulator's partition) may
-    /// turn it on; with it off every PIM completion goes through the
-    /// per-tick `completions` heap, as in the simulator's reference run.
-    /// Call before stepping.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a burst plan is live or a batch awaits harvest.
-    pub fn set_ack_batching(&mut self, enabled: bool) {
-        assert!(
-            self.plan_reserved == 0 && self.ack_batch.is_empty(),
-            "cannot toggle ack batching mid-plan"
-        );
-        self.ack_batching = enabled;
-    }
-
-    /// Whether retire-time ack batching is on.
-    pub fn ack_batching(&self) -> bool {
-        self.ack_batching
     }
 
     /// How this controller's cycles were serviced (full steps vs memo
@@ -542,32 +506,39 @@ impl MemoryController {
         self.queues.enqueue(req, decoded, now);
     }
 
-    /// True when no requests are queued, in flight, or awaiting pickup.
-    /// In batched mode an already-emitted PIM ack keeps the controller
-    /// non-idle until its data-completion cycle passes — exactly the
-    /// cycles the eager path holds it in the `completions` heap — so the
-    /// idle fast path accrues identical stats in both modes.
+    /// True when no requests are queued or in flight and no completion
+    /// is still to come. A deposited PIM ack keeps the controller busy
+    /// through its data-completion cycle, as a MEM completion does while
+    /// it waits in the heap; a due ack waiting in the schedule for its
+    /// owner's drain ([`MemoryController::acks_pending`]) does not.
     pub fn is_idle(&self, now: Cycle) -> bool {
         self.queues.is_empty()
             && self.channel.quiescent(now)
             && self.switch.is_none()
             && self.completions.is_empty()
-            && self.ack_batch.is_empty()
-            && (!self.ack_batching || self.ack_horizon == 0 || now > self.ack_horizon)
+            && now >= self.acks_until
     }
 
-    /// Appends all completions with `at <= now` to `out` — the
-    /// scratch-buffer form of the old Vec-per-call `pop_completions`, so
-    /// per-tick consumers reuse one buffer across the whole run.
+    /// Appends all completions with `at <= now` to `out`, MEM and PIM
+    /// alike, in `(at, id)` order. A caller that asks every cycle gets
+    /// each completion on its own cycle.
     pub fn pop_completions_into(&mut self, now: Cycle, out: &mut Vec<Completion>) {
+        let start = out.len();
         while let Some(c) = self.pop_completion_before(now) {
             out.push(c);
         }
+        let mems = out.len();
+        while let Some(c) = self.acks.pop_due(now) {
+            out.push(c);
+        }
+        if mems > start && out.len() > mems {
+            out[start..].sort_unstable_by_key(|c| (c.at, c.req.id));
+        }
     }
 
-    /// Pops the earliest completion with `at <= now`, if any — the
-    /// allocation-free form of [`MemoryController::pop_completions_into`]
-    /// for per-cycle consumers that process completions one at a time.
+    /// Pops the earliest MEM completion (a fill or a writeback) with
+    /// `at <= now`, if any. PIM acks leave through
+    /// [`MemoryController::drain_acks_into`] instead.
     pub fn pop_completion_before(&mut self, now: Cycle) -> Option<Completion> {
         if self.completions.peek().is_some_and(|c| c.at <= now) {
             return self.completions.pop();
@@ -575,36 +546,35 @@ impl MemoryController {
         None
     }
 
-    /// Takes the oldest completion out of the retire-time ack batch —
-    /// deposit order, so the stream is ascending `at` within a plan and
-    /// the owner's delivery schedule absorbs it on its O(1) sorted lane.
-    /// Harvest until `None` after every call that can issue PIM work
-    /// ([`MemoryController::step`],
-    /// [`MemoryController::plan_replay_span`]).
-    pub fn pop_batched_ack(&mut self) -> Option<Completion> {
-        self.ack_batch.pop_front()
+    /// Appends the request of every PIM ack with `at <= limit` to `out`,
+    /// in `(at, id)` order.
+    pub fn drain_acks_into(&mut self, limit: Cycle, out: &mut Vec<Request>) {
+        while let Some(c) = self.acks.pop_due(limit) {
+            out.push(c.req);
+        }
     }
 
-    /// Routes a PIM completion: into the retire-time batch when batching
-    /// is on (timestamped, harvested by the owner), into the per-tick
-    /// heap otherwise (the eager oracle path).
-    fn push_pim_completion(&mut self, req: Request, at: Cycle) {
-        if self.ack_batching {
-            self.ack_batch.push_back(Completion { req, at });
-            self.ack_horizon = self.ack_horizon.max(at);
-            self.mix.acks_batched += 1;
-        } else {
-            self.completions.push(Completion { req, at });
-        }
+    /// Whether any deposited PIM ack has not been drained yet.
+    pub fn acks_pending(&self) -> bool {
+        !self.acks.is_empty()
+    }
+
+    /// Deposits a PIM op's ack, due at its data-completion cycle `at`.
+    fn deposit_ack(&mut self, req: Request, at: Cycle) {
+        self.acks.push(Completion { req, at });
+        self.acks_until = self.acks_until.max(at + 1);
+        self.mix.acks_batched += 1;
     }
 
     /// The earliest cycle at or after `now` at which this controller can
     /// *do* something, or `None` while it is completely idle (no queued
-    /// requests, no in-flight data, no pending switch, no undelivered
-    /// completions). Inside an armed stall window the answer is the
-    /// window's end (or an earlier completion hand-off) rather than a
-    /// perpetual `now` — so the probe no longer reports "busy forever"
-    /// while a PIM block merely waits out a timing constraint.
+    /// requests, no in-flight data, no pending switch, no MEM completion
+    /// to hand off and no ack still to come). Inside an armed stall
+    /// window the answer is the window's end (or an earlier MEM
+    /// completion hand-off) rather than a perpetual `now` — so the probe
+    /// no longer reports "busy forever" while a PIM block merely waits
+    /// out a timing constraint. Deposited acks need no step: the owner
+    /// drains them by cycle.
     pub fn next_activity_cycle(&self, now: Cycle) -> Option<Cycle> {
         if self.is_idle(now) {
             return None;
@@ -829,8 +799,8 @@ impl MemoryController {
     /// at once, in O(busy-bit expiries) instead of O(ticks). Succeeds —
     /// returning `true` with every stats integral advanced exactly as
     /// per-cycle stepping would have — only when the span lies strictly
-    /// inside an armed stall window, no completion falls due in it (the
-    /// owner must pop completions at their exact tick), and the
+    /// inside an armed stall window, no MEM completion falls due in it
+    /// (the owner must pop those at their exact tick), and the
     /// controller cannot go idle mid-span (idle cycles are skipped by the
     /// owner, not accrued). Returns `false` with no state change
     /// otherwise.
@@ -895,21 +865,18 @@ impl MemoryController {
 
     /// Attempts to replay the whole DRAM-tick span `[first, first+ticks)`
     /// inside a live burst-plan window at once — the plan-window dual of
-    /// [`MemoryController::quiet_replay_span`], and the bulk step the
-    /// retire-time ack batch licenses: with every completion already
-    /// emitted at retirement, the only per-tick work left in the window
-    /// is stats integrals and the per-op issue observables, both of which
-    /// advance here in O(ops in span) instead of O(ticks). Succeeds only
-    /// in batched mode (the eager oracle must hand each completion off at
-    /// its own tick), only when the span lies strictly inside the plan
-    /// window, and only when no heap completion (an internal MEM
-    /// writeback) falls due in it. Returns `false` with no state change
-    /// otherwise.
+    /// [`MemoryController::quiet_replay_span`]. The plan deposited every
+    /// op's ack at its creation, so the only per-tick work left in the
+    /// window is stats integrals and the per-op issue observables, both
+    /// of which advance here in O(ops in span) instead of O(ticks).
+    /// Succeeds only when the span lies strictly inside the plan window
+    /// and no MEM completion (an internal writeback) falls due in it.
+    /// Returns `false` with no state change otherwise.
     pub fn plan_replay_span(&mut self, first: Cycle, ticks: u64) -> bool {
         if ticks == 0 {
             return true;
         }
-        if !self.ack_batching || first >= self.plan_until {
+        if first >= self.plan_until {
             return false;
         }
         let last = first + (ticks - 1);
@@ -959,20 +926,14 @@ impl MemoryController {
         true
     }
 
-    /// Whether the owner may let this controller's DRAM ticks lag, to be
-    /// replayed later through the live code path: batching is on and the
-    /// controller holds no MEM work — no MEM request queued, no MEM
-    /// completion in flight. In batched mode PIM completions bypass the
-    /// heap (they are deposited timestamped into the ack batch and
-    /// *pulled* by the delivery stage, which catches lagging partitions
-    /// up before every drain), so the heap holds only MEM fills and
-    /// writebacks, which must be popped at their exact tick. With no MEM
-    /// work nothing in a lag is production-bound and no arrival can land
-    /// inside it (the owner catches up first), so the lag may last until
-    /// the partition is next observed. With batching off the eager oracle
-    /// needs its per-tick hand-off and nothing lags.
-    pub fn may_lag(&self) -> bool {
-        self.ack_batching && self.queues.mem_len() == 0 && self.completions.is_empty()
+    /// Whether this controller holds MEM work: a MEM request queued, or
+    /// a MEM fill or writeback in flight, which must be popped at its
+    /// exact tick. PIM acks are not MEM work: they are deposited
+    /// timestamped and *pulled* by the owner's delivery stage, so an
+    /// owner may let a controller without MEM work lag, to be replayed
+    /// later through the live code path (DESIGN.md §4k).
+    pub fn holds_mem_work(&self) -> bool {
+        self.queues.mem_len() > 0 || !self.completions.is_empty()
     }
 
     /// The earliest cycle a *new* enqueue arriving at DRAM tick `at`
@@ -1252,7 +1213,7 @@ impl MemoryController {
                 self.stats
                     .pim_latency
                     .record(done.saturating_sub(q.arrived));
-                self.push_pim_completion(q.req, done);
+                self.deposit_ack(q.req, done);
                 return None;
             }
             return Some(self.channel.earliest_issue(op, now).unwrap_or(Cycle::MAX));
@@ -1326,14 +1287,15 @@ impl MemoryController {
     /// The issue series is `s_k = now + k · max(tCCDl, 1)`; per-op
     /// completions come from the channel ([`Channel::issue_pim_burst`]).
     ///
-    /// Only the *channel* state and the queue pops are eager (both hidden
-    /// behind the plan window — the channel is not consulted and the
-    /// queue occupancy is virtualized until it closes). Every per-op
-    /// *observable* — stats counters, latency sample, policy hook, engine
-    /// op, completion hand-off — is deferred to the op's analytic issue
-    /// cycle via `plan_ops`, so stats snapshots taken mid-plan match
-    /// per-cycle stepping bit for bit. The head op issues right here: its
-    /// issue cycle is the creation cycle itself.
+    /// Only the *channel* state, the queue pops and the ack deposits are
+    /// eager (the first two hidden behind the plan window — the channel
+    /// is not consulted and the queue occupancy is virtualized until it
+    /// closes — and each ack invisible until its cycle). Every other
+    /// per-op *observable* — stats counters, latency sample, policy hook,
+    /// engine op — is deferred to the op's analytic issue cycle via
+    /// `plan_ops`, so stats snapshots taken mid-plan match per-cycle
+    /// stepping bit for bit. The head op issues right here: its issue
+    /// cycle is the creation cycle itself.
     fn retire_burst(&mut self, n: usize, now: Cycle) {
         let (stride, _, _) = self.channel.pim_burst_timing();
         // Fixed for the whole span: MEM issues nothing in PIM mode and
@@ -1355,16 +1317,10 @@ impl MemoryController {
         for &done in dones.iter() {
             let q = self.queues.pop_pim().expect("planned ops are queued");
             let bypassed = oldest_mem.is_some_and(|mem_age| mem_age < q.age);
-            // The whole plan's completions are known right now; in batched
-            // mode they leave as one retire-time timestamped batch and the
+            // The whole plan's completions are known right now, so the
             // plan window never ticks to produce them.
-            if self.ack_batching {
-                self.push_pim_completion(q.req, done);
-            }
+            self.deposit_ack(q.req, done);
             self.plan_ops.push_back((q, done, bypassed));
-        }
-        if self.ack_batching {
-            self.mix.ack_batches += 1;
         }
         self.burst_writes = writes;
         self.burst_completions = dones;
@@ -1381,7 +1337,8 @@ impl MemoryController {
     /// issue cycle `now` — exactly what the per-cycle path does when it
     /// issues a `PimOp`, minus the channel state transition (already
     /// applied in bulk at plan creation; the per-op command tally is
-    /// re-attributed here via [`Channel::tally_pim_op`]).
+    /// re-attributed here via [`Channel::tally_pim_op`]) and the ack
+    /// deposit (made at plan creation).
     fn issue_planned_op(&mut self, now: Cycle) {
         let (q, done, bypassed) = self
             .plan_ops
@@ -1407,14 +1364,6 @@ impl MemoryController {
         self.stats
             .pim_latency
             .record(done.saturating_sub(q.arrived));
-        // In batched mode the completion already left with the plan's
-        // retire-time batch; only the eager oracle hands it off here.
-        if !self.ack_batching {
-            self.completions.push(Completion {
-                req: q.req,
-                at: done,
-            });
-        }
     }
 }
 

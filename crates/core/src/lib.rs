@@ -39,6 +39,7 @@ pub mod controller;
 mod mem_index;
 pub mod policy;
 pub mod queue;
+mod schedule;
 
 pub use controller::{Completion, McStats, MemoryController, StepMix};
 pub use policy::{PolicyKind, SchedulePolicy};

@@ -13,13 +13,14 @@
 //! its L2 front half ticks on the GPU clock via [`Partition::step_l2`].
 //! Hand-offs with the rest of the pipeline are typed credit-based
 //! queues: the crossbar ejects into [`Partition::try_accept`] (the
-//! ingress [`Port`]), MEM replies leave through the [`Partition::reply`]
-//! wire, and PIM acks through the [`Partition::acks`] wire.
+//! ingress [`Port`]) and MEM replies leave through the
+//! [`Partition::reply`] wire. PIM acks wait in the controller's ack
+//! schedule ([`MemoryController::drain_acks_into`]).
 
 use std::collections::VecDeque;
 
 use pimsim_cache::{AccessOutcome, CacheSlice};
-use pimsim_component::{Port, Schedule, Wire};
+use pimsim_component::{Port, Wire};
 use pimsim_core::{Completion, MemoryController, SchedulePolicy};
 use pimsim_dram::AddressMapper;
 use pimsim_types::{Cycle, DecodedAddr, Request, RequestId, RequestKind, SystemConfig, VcMode};
@@ -102,13 +103,6 @@ pub struct Partition {
     pending_writebacks: VecDeque<Request>,
     /// MEM completions awaiting injection into the reply network.
     reply: Wire<Request>,
-    /// PIM acks awaiting credit return to the kernel, time-ordered by
-    /// data-completion cycle: retire-time batching deposits a whole burst
-    /// plan's acks here the moment the plan is created, and the
-    /// completion stage drains only the due prefix each cycle — so each
-    /// ack is observable at exactly the tick the eager per-tick path
-    /// would have delivered it (DESIGN.md §4k).
-    acks: Schedule<Request>,
     /// Non-PIM requests currently staged across the ingress and L2→DRAM
     /// ports — an O(1) mirror of scanning both ports, kept so the
     /// pure-PIM test in [`Partition::may_lag`] costs nothing on the
@@ -150,7 +144,6 @@ impl Partition {
             pending_fills: VecDeque::new(),
             pending_writebacks: VecDeque::new(),
             reply: Wire::unbounded(),
-            acks: Schedule::new(),
             staged_mem: 0,
             rr_icnt: 0,
             rr_l2dram: 0,
@@ -223,18 +216,6 @@ impl Partition {
     /// Mutable access to the reply wire (the reply network pops it).
     pub fn reply_mut(&mut self) -> &mut Wire<Request> {
         &mut self.reply
-    }
-
-    /// The PIM ack schedule (out-of-band credit returns, time-ordered by
-    /// completion cycle).
-    pub fn acks(&self) -> &Schedule<Request> {
-        &self.acks
-    }
-
-    /// Mutable access to the ack schedule (the completion stage drains
-    /// the due prefix).
-    pub fn acks_mut(&mut self) -> &mut Schedule<Request> {
-        &mut self.acks
     }
 
     /// Occupancy of the interconnect→L2 staging lane on `vc`.
@@ -398,7 +379,7 @@ impl Partition {
     }
 
     /// One DRAM-clock step: ingest from the L2→DRAM port, advance the MC,
-    /// and sort its completions. Returns `false`, having done nothing,
+    /// and route its MEM completions. Returns `false`, having done nothing,
     /// when there is nothing to ingest and the controller is idle — a
     /// state only an arrival in the port ends.
     pub fn step_dram(&mut self, dram_now: Cycle, mapper: &AddressMapper) -> bool {
@@ -453,24 +434,18 @@ impl Partition {
             }
         }
         self.mc.step(dram_now);
-        self.harvest_completions(dram_now);
-        true
-    }
-
-    /// Harvests the controller's retire-time ack batch into the
-    /// time-ordered schedule and routes matured heap completions — the
-    /// shared tail of every step that can advance the controller.
-    fn harvest_completions(&mut self, dram_now: Cycle) {
-        while let Some(c) = self.mc.pop_batched_ack() {
-            self.acks.push(c.at, c.req.id.0, c.req);
-        }
-        while let Some(Completion { req, at }) = self.mc.pop_completion_before(dram_now) {
-            match req.kind {
-                RequestKind::Pim(_) => self.acks.push(at, req.id.0, req),
-                RequestKind::MemRead => self.pending_fills.push_back(req),
-                RequestKind::MemWrite => {} // writeback retired
+        while let Some(Completion { req, .. }) = self.mc.pop_completion_before(dram_now) {
+            debug_assert!(
+                !req.kind.is_pim(),
+                "PIM ack {:?} in the MEM completion heap",
+                req.id
+            );
+            // A fill installs in the L2; a writeback just retires.
+            if req.kind == RequestKind::MemRead {
+                self.pending_fills.push_back(req);
             }
         }
+        true
     }
 
     /// Steps `ticks` DRAM cycles starting at `first` — replaying the
@@ -490,9 +465,8 @@ impl Partition {
         if self.to_dram.is_empty()
             && (self.mc.quiet_replay_span(first, ticks) || self.mc.plan_replay_span(first, ticks))
         {
-            // Neither bulk replay creates completions: a plan's acks left
-            // as a batch at retirement, and quiet spans hold none by
-            // construction — nothing to harvest.
+            // Neither bulk replay pops a MEM completion: both refuse a
+            // span in which one falls due.
             return;
         }
         for now in first..first + ticks {
@@ -561,21 +535,27 @@ impl Partition {
         if self.staged_mem > 0 || (pipeline && self.reply.len() >= REPLY_OUT_CAP) {
             return false;
         }
-        self.mc.may_lag()
+        !self.mc.holds_mem_work()
     }
 
     /// One memory-stage visit: GPU cycle `at.gpu_now()` with the DRAM
     /// ticks `[at.dram_now(), at.dram_now() + ticks)`, where `at` is the
     /// stage clock at the visit (DESIGN.md §4k). A lagging partition keeps
-    /// lagging until it is observed. A current partition that may lag
-    /// starts lagging here, recording the clock; one that holds no work
-    /// at all is idle instead. Any other steps live.
-    pub(crate) fn visit(&mut self, at: &ClockCoupler, ticks: u64, mapper: &AddressMapper) -> Visit {
+    /// lagging until it is observed. With `lag` on, a current partition
+    /// that may lag starts lagging here, recording the clock; one that
+    /// holds no work at all is idle instead. Any other steps live.
+    pub(crate) fn visit(
+        &mut self,
+        at: &ClockCoupler,
+        ticks: u64,
+        mapper: &AddressMapper,
+        lag: bool,
+    ) -> Visit {
         if self.lag.is_some() {
             return Visit::Lagged;
         }
         let from = at.dram_now();
-        if !self.may_lag() {
+        if !(lag && self.may_lag()) {
             self.step_l2(at.gpu_now());
             self.step_dram_span(from, ticks, mapper);
             Visit::Live
@@ -626,15 +606,16 @@ impl Partition {
         (self.replay_batches, self.replayed_visits)
     }
 
-    /// Whether a port or wire holds work: anything buffered outside the
-    /// L2 hit pipeline and the controller.
+    /// Whether a port, a wire or the controller's ack schedule holds
+    /// work: anything buffered outside the L2 hit pipeline and the
+    /// controller's own scheduling state.
     fn buffers_hold_work(&self) -> bool {
         !self.ingress.is_empty()
             || !self.to_dram.is_empty()
             || !self.pending_fills.is_empty()
             || !self.pending_writebacks.is_empty()
             || !self.reply.is_empty()
-            || !self.acks.is_empty()
+            || self.mc.acks_pending()
     }
 
     /// When this partition next needs a live visit, at GPU cycle
@@ -721,7 +702,7 @@ mod tests {
         for now in 0..cycles {
             p.step_l2(now);
             p.step_dram(now, m); // 1:1 clocks are fine for unit tests
-            p.acks_mut().drain_due_into(now, &mut acks);
+            p.mc.drain_acks_into(now, &mut acks);
             while let Some(r) = p.reply_mut().recv() {
                 replies.push(r);
             }

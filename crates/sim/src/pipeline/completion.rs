@@ -123,8 +123,8 @@ impl InflightTable {
 /// per-cycle scratch buffers, and retires completions back into kernel
 /// slots (plus the issue stage's per-SM credit counters).
 ///
-/// It runs twice per GPU cycle — once for the out-of-band PIM ack wires,
-/// once for replies the reply network delivered — with the reply
+/// It runs twice per GPU cycle — once for the out-of-band PIM ack
+/// schedules, once for replies the reply network delivered — with the reply
 /// network's step in between.
 #[derive(Debug, Default)]
 pub struct CompletionStage {
@@ -153,12 +153,12 @@ impl CompletionStage {
         self.delivered
     }
 
-    /// Drains every partition's PIM ack schedule up to (and including)
+    /// Drains every controller's PIM ack schedule up to (and including)
     /// DRAM cycle `limit` and retires the acks (credit return,
     /// out-of-band — acks never cross the reply network). The limit is
-    /// the last *serviced* DRAM tick: with retire-time batching a
-    /// schedule may hold acks timestamped arbitrarily far ahead, and
-    /// they must not become observable before their analytic cycle.
+    /// the last *serviced* DRAM tick: a schedule holds each ack from its
+    /// op's issue, a burst plan's far ahead, and none may become
+    /// observable before its analytic cycle.
     pub fn collect_acks(
         &mut self,
         memory: &mut MemoryStage,

@@ -91,6 +91,9 @@ pub struct MemoryStage {
     /// The address decoding every partition reads, also lent to the
     /// issue stage ([`MemoryStage::mapper`]).
     mapper: AddressMapper,
+    /// Whether partitions may lag (on by default; see
+    /// [`MemoryStage::set_lag`]).
+    lag: bool,
 }
 
 impl MemoryStage {
@@ -111,7 +114,17 @@ impl MemoryStage {
             // `cfg.dram_backend` names without matching on the kind
             // themselves.
             mapper: pimsim_dram::backend::mapper_for(cfg),
+            lag: true,
         }
+    }
+
+    /// Lets partitions that hold no MEM work lag the stage (on by
+    /// default), or makes every visit step live (DESIGN.md §4k). Both
+    /// are exact; only the tick and replay counters differ. A partition
+    /// already lagging when this turns off is caught up where it is
+    /// next observed, as always.
+    pub fn set_lag(&mut self, on: bool) {
+        self.lag = on;
     }
 
     /// The address decoding the partitions use, for the issue stage's
@@ -188,27 +201,28 @@ impl MemoryStage {
     }
 
     /// Drains every partition's due PIM acks (completion cycle `<=
-    /// limit`) into `out`. Acks deposited at retire time with a future
-    /// timestamp stay invisible until DRAM time reaches them, so
-    /// delivery order and cycle match the eager per-tick path exactly.
+    /// limit`) into `out`, from each controller's ack schedule. An ack
+    /// is deposited when its op issues, with its data-completion cycle,
+    /// and stays invisible until DRAM time reaches that cycle, so
+    /// delivery order and cycle match the per-tick reference exactly.
     ///
     /// Ack production is *pull-driven* (DESIGN.md §4k): a lagging
     /// partition may not yet have produced acks that are already due, so
     /// it is caught up here, immediately before the read. The replay
-    /// runs the exact live schedule, so the wires hold precisely the
-    /// acks the eager path would already hold and the drained set is
-    /// identical. This makes delivery demand — not per-issue completion
+    /// runs the exact live schedule, so the schedules hold precisely the
+    /// acks a partition that never lagged would hold and the drained set
+    /// is identical. This makes delivery demand — not per-issue completion
     /// latency — the cadence at which busy partitions sync.
     ///
     /// The pull is skipped when no *unproduced* ack can be due yet:
     /// every ack a lagged visit can produce comes from an issue at or
     /// after the partition's first unapplied DRAM tick `f`, and
-    /// plan-covered issues deposited their acks at retire time (already
-    /// harvested into the wire before the lag began), so the earliest
-    /// unproduced due is bounded below by
+    /// plan-covered issues deposited their acks when the plan was
+    /// created (before the lag began), so the earliest unproduced due is
+    /// bounded below by
     /// [`pimsim_core::MemoryController::arrival_bound`]`(f)`. When that
-    /// bound clears `limit`, everything due is already in the wire and
-    /// the lag keeps growing — this is what keeps the per-cycle drains
+    /// bound clears `limit`, everything due is already in the schedule
+    /// and the lag keeps growing — this is what keeps the per-cycle drains
     /// from shattering lags into single-visit replays.
     pub fn drain_acks_into(&mut self, limit: Cycle, out: &mut Vec<Request>) {
         // Acks pending keep a partition out of idle, so the active set
@@ -221,9 +235,7 @@ impl MemoryStage {
             if may_owe {
                 p.catch_up(&self.clock, &self.mapper);
             }
-            if p.acks().has_due(limit) {
-                p.acks_mut().drain_due_into(limit, out);
-            }
+            p.mc.drain_acks_into(limit, out);
         }
     }
 
@@ -241,7 +253,7 @@ impl MemoryStage {
         let mut live = false;
         for c in self.active.iter() {
             let p = &mut self.partitions[c];
-            match p.visit(&at, ticks, &self.mapper) {
+            match p.visit(&at, ticks, &self.mapper, self.lag) {
                 Visit::Lagged => {}
                 Visit::Idle => self.active.remove(c),
                 Visit::Live => {
@@ -311,7 +323,7 @@ impl MemoryStage {
     /// one now still holds it once current — and is due now
     /// ([`Partition::horizon`]).
     pub(crate) fn acks_pending(&self) -> bool {
-        self.active.iter().any(|c| !self.get(c).acks().is_empty())
+        self.active.iter().any(|c| self.get(c).mc.acks_pending())
     }
 
     /// When the stage next needs a live visit, at the stage clock: the
@@ -462,15 +474,13 @@ mod tests {
         // In one stage, a partition fed a MEM read before every visit
         // must step live each time, while a pure-PIM partition lags
         // through the same visits (its acks are pulled at delivery). An
-        // eager twin — ack batching off, so no partition ever lags — must
-        // end with the same controller stats and drain every ack at the
-        // same cycle.
+        // eager twin — lag off, so no partition ever lags — must end with
+        // the same controller stats and drain every ack at the same
+        // cycle.
         const VISITS: u64 = 120;
         let cfg = SystemConfig::default();
         let (mut lazy, mut eager) = (stage_with(&cfg), stage_with(&cfg));
-        for c in 0..lazy.channel_count() {
-            lazy.partition_mut(c).mc.set_ack_batching(true);
-        }
+        eager.set_lag(false);
         let cm = channel_of(&lazy, 0);
         let cp = (cm + 1) % lazy.channel_count();
         let reads: Vec<u64> = (0..)
@@ -480,7 +490,7 @@ mod tests {
             .collect();
         let mut logs = [Vec::new(), Vec::new()];
         for (m, log) in [&mut lazy, &mut eager].into_iter().zip(&mut logs) {
-            let is_lazy = m.get(cp).mc.ack_batching();
+            let is_lazy = m.lag;
             for id in 0..4 {
                 assert!(m.partition_mut(cp).try_accept(0, pim_load(id, cp)));
             }
@@ -525,14 +535,12 @@ mod tests {
         // controller holds the read queued, no visit may leave it lagging,
         // whatever stall or plan window the controller sits in: MEM work
         // steps live. Once the read has left, the pure-PIM remainder lags.
-        // An eager twin — ack batching off, so nothing lags — must deliver
-        // the reply and every ack at the same cycles and end with the same
+        // An eager twin — lag off, so nothing lags — must deliver the
+        // reply and every ack at the same cycles and end with the same
         // controller stats.
         let cfg = SystemConfig::default();
         let (mut lazy, mut eager) = (stage_with(&cfg), stage_with(&cfg));
-        for c in 0..lazy.channel_count() {
-            lazy.partition_mut(c).mc.set_ack_batching(true);
-        }
+        eager.set_lag(false);
         let c = channel_of(&lazy, 0);
         let mut logs = [Vec::new(), Vec::new()];
         let mut lagged = false;
@@ -583,9 +591,6 @@ mod tests {
         let mut cfg = SystemConfig::default();
         cfg.noc.reply_queue_entries = 2;
         let mut m = stage_with(&cfg);
-        for c in 0..m.channel_count() {
-            m.partition_mut(c).mc.set_ack_batching(true);
-        }
         let mut net = ReplyNet::new(&cfg);
         let mut delivered = Vec::new();
         let wires = |m: &MemoryStage| m.iter().any(|p| !p.reply().is_empty());

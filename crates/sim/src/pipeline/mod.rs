@@ -5,13 +5,15 @@
 //! ```text
 //! [IssueStage] -> [RequestNet] -> [MemoryStage: L2 + MC + DRAM/PIM]
 //!      ^                               |            |
-//!      |                        reply wires     ack wires
+//!      |                        reply wires   ack schedules
 //!      +-- [CompletionStage] <- [ReplyNet] <------+
 //! ```
 //!
 //! Each stage is a struct owning its internal state; the hand-offs between
 //! stages are typed credit-based queues ([`Wire`]/[`Port`]) exposed by the
-//! stage that buffers them. Each clocked stage has a `step(now, ctx)`
+//! stage that buffers them. PIM acks skip the reply network: each
+//! controller keeps them in a time-ordered schedule that the completion
+//! stage drains by cycle. Each clocked stage has a `step(now, ctx)`
 //! method whose context borrows exactly the neighbouring state it needs:
 //! [`IssueStage`], [`RequestNet`], and [`ReplyNet`] step on the GPU clock,
 //! and the [`MemoryStage`] runs one GPU cycle of memory work at a time, in

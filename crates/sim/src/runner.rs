@@ -30,10 +30,10 @@ pub struct Runner {
     /// bit-identical either way, so turning it off is only useful for
     /// measuring what the skip is worth or profiling the lock-step path.
     pub fast_forward: bool,
-    /// Retire-time ack batching (see [`Simulator::set_ack_batching`]).
-    /// On by default; results are bit-identical either way, so turning
-    /// it off is only useful for measuring what batching is worth.
-    pub ack_batching: bool,
+    /// Partition lag (see [`Simulator::set_partition_lag`]). On by
+    /// default; results are bit-identical either way, so turning it off
+    /// is only useful for measuring what lag is worth.
+    pub partition_lag: bool,
     /// Run on [`Simulator::reference`] (see [`Runner::reference`]).
     reference: bool,
 }
@@ -47,7 +47,7 @@ impl Runner {
             policy,
             max_gpu_cycles: 60_000_000,
             fast_forward: true,
-            ack_batching: true,
+            partition_lag: true,
             reference: false,
         }
     }
@@ -58,7 +58,7 @@ impl Runner {
     pub fn reference(system: SystemConfig, policy: PolicyKind) -> Self {
         Runner {
             fast_forward: false,
-            ack_batching: false,
+            partition_lag: false,
             reference: true,
             ..Self::new(system, policy)
         }
@@ -87,7 +87,7 @@ impl Runner {
             Simulator::new(system, policy)
         };
         sim.set_fast_forward(self.fast_forward);
-        sim.set_ack_batching(self.ack_batching);
+        sim.set_partition_lag(self.partition_lag);
         sim
     }
 }

@@ -138,7 +138,7 @@ impl Simulator {
     /// Panics if `cfg` fails validation.
     pub fn new(cfg: SystemConfig, policy: pimsim_core::PolicyKind) -> Self {
         cfg.validate().expect("invalid system configuration");
-        let mut sim = Simulator {
+        Simulator {
             issue: IssueStage::new(cfg.gpu.num_sms, cfg.gpu.max_outstanding_mem_per_sm),
             request_net: RequestNet::new(&cfg),
             memory: MemoryStage::new(&cfg, policy),
@@ -153,20 +153,15 @@ impl Simulator {
             stage_ticks: StageTicks::default(),
             profile: None,
             cfg,
-        };
-        // Raw controllers default to eager production (they have no
-        // harvesting owner); the simulator's partitions do, so batching
-        // is on by default here.
-        sim.set_ack_batching(true);
-        sim
+        }
     }
 
     /// The reference simulator: [`Simulator::new`] with every fast path
-    /// off — fast-forward, ack batching and partition lag, each
-    /// controller's stall memo and burst plans, the issue stage's wake
-    /// table and the reply gate — so every stage ticks every cycle
-    /// through the plain per-tick code (DESIGN.md §6). Every fast path
-    /// must match it exactly, down to the cycle of each completion.
+    /// off — fast-forward, partition lag, each controller's stall memo
+    /// and burst plans, the issue stage's wake table and the reply gate —
+    /// so every stage ticks every cycle through the plain per-tick code
+    /// (DESIGN.md §6). Every fast path must match it exactly, down to the
+    /// cycle of each completion.
     ///
     /// # Panics
     ///
@@ -175,7 +170,7 @@ impl Simulator {
         let mut sim = Self::new(cfg, policy);
         sim.reference = true;
         sim.set_fast_forward(false);
-        sim.set_ack_batching(false);
+        sim.set_partition_lag(false);
         sim.issue.poll_every_cycle = true;
         for c in 0..sim.memory.channel_count() {
             let mc = &mut sim.memory.partition_mut(c).mc;
@@ -222,21 +217,17 @@ impl Simulator {
         self.fast_forward = on;
     }
 
-    /// Enables or disables retire-time ack batching (on by default).
-    /// With it on, each controller emits a burst plan's completions as
-    /// one timestamped batch at retire time, the partitions hold them in
-    /// a time-ordered schedule, and a partition that holds no MEM work
-    /// lags the memory stage until it is next observed instead of
-    /// ticking — each ack still becomes *observable* at its exact
-    /// analytic cycle (DESIGN.md §4k).
-    /// With it off, every completion is produced by a per-tick
-    /// controller step and no partition ever lags. Both modes produce
+    /// Enables or disables partition lag (on by default). With it on, a
+    /// partition that holds no MEM work lags the memory stage until it
+    /// is next observed instead of ticking; its PIM acks, deposited in
+    /// its controller's schedule at issue, are pulled at delivery, each
+    /// at its exact cycle (DESIGN.md §4k). With it off, every partition
+    /// with work steps live on every visit. Both modes produce
     /// bit-identical observables (cycle counts, McStats, goldens); only
-    /// the step mix's tick counters differ. Toggle before running.
-    pub fn set_ack_batching(&mut self, on: bool) {
-        for c in 0..self.memory.channel_count() {
-            self.memory.partition_mut(c).mc.set_ack_batching(on);
-        }
+    /// the step mix's tick and replay counters differ. The flag exists
+    /// for measuring what lag is worth (`ablation`).
+    pub fn set_partition_lag(&mut self, on: bool) {
+        self.memory.set_lag(on);
     }
 
     /// Catches every lagging partition up to the memory stage's clock.
@@ -410,10 +401,10 @@ impl Simulator {
             // Acks become observable once their DRAM cycle has been
             // *serviced*: `dram_cycles()` is the next unserviced tick (the
             // span above ended at `dram_cycles() - 1`), so that is the
-            // drain limit. Eager production pops each completion on its
-            // own tick with the same bound, so both modes drain
-            // identically. Production is pull-driven: the drain catches
-            // up lagging partitions that could owe a due ack first.
+            // drain limit. Each ack has waited in its controller's
+            // schedule since its op issued. Production is pull-driven:
+            // the drain catches up lagging partitions that could owe a
+            // due ack first.
             let ack_limit = self.dram_cycles().saturating_sub(1);
             self.completion.collect_acks(
                 &mut self.memory,

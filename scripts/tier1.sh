@@ -50,9 +50,9 @@ cargo test -q --release --test fast_forward
 # reachable from the CLI, and a short LP5X run must complete end to end —
 # the whole chain spec string → registry → SystemConfig → simulator.
 cargo test -q --release --test backend_registry
-# grep without -q: -q exits at the first match and closes the pipe,
-# which can panic the CLI mid-print with EPIPE depending on buffering.
-cargo run -q --release -p pimsim-cli --bin pimsim -- list | grep "lp5x" >/dev/null
+# grep -q exits at the first match and closes the pipe; the CLI treats
+# the closed pipe as a normal end (exit 0, nothing on stderr).
+cargo run -q --release -p pimsim-cli --bin pimsim -- list | grep -q "lp5x"
 cargo run -q --release -p pimsim-cli --bin pimsim -- \
   standalone --pim P1 --dram lp5x:ranks=4 --scale 0.01 >/dev/null
 
@@ -70,12 +70,12 @@ cargo run -q --release -p pimsim-cli --bin pimsim -- \
 # acks on every stepped cycle while a PIM kernel is mounted (§4i), so on
 # the PIM scenarios its tick count equals the stepped cycles. It also
 # fails if burst retirement disengages (zero burst hit rate on
-# standalone_pim, §4h), or if retire-time completion batching
+# standalone_pim, §4h), or if partition lag or closed-form plan replay
 # disengages (on both standalone PIM scenarios, HBM and lp5x:ranks=4,
 # the memory stage must run at least 3x fewer ticks than stepped cycles
-# and at least one ack must travel in a retire-time batch, §4k). Tick
-# counts are deterministic, so those gates are structural — immune to
-# host noise.
+# and at least one burst-plan window must be replayed in closed form,
+# §4h/§4k). Tick counts are deterministic, so those gates are
+# structural — immune to host noise.
 HOTLOOP_REPS=1 HOTLOOP_FLOOR=25000 HOTLOOP_OUT="" \
   cargo run -q --release -p pimsim-bench --bin hotloop
 

@@ -1,11 +1,11 @@
 //! Fast-path equivalence against the reference simulator. Every fast
-//! path — fast-forward, retire-time ack batching and the partition lag
-//! it licenses, the controllers' stall memo and burst plans, the issue
-//! stage's wake table and the reply gate — must leave every observable
-//! of a run identical to [`Runner::reference`], the same run with all of
-//! them off: total cycles, injections (or first-run cycles and
-//! starvation), merged controller stats, and the cycle, slot and request
-//! ID of every completion each kernel receives, in order.
+//! path — fast-forward, partition lag, the controllers' stall memo and
+//! burst plans, the issue stage's wake table and the reply gate — must
+//! leave every observable of a run identical to [`Runner::reference`],
+//! the same run with all of them off: total cycles, injections (or
+//! first-run cycles and starvation), merged controller stats, and the
+//! cycle, slot and request ID of every completion each kernel receives,
+//! in order.
 
 use std::sync::{Arc, Mutex};
 
@@ -59,12 +59,12 @@ fn reference(cfg: &SystemConfig, policy: PolicyKind) -> Runner {
 fn variants(cfg: &SystemConfig, policy: PolicyKind) -> [(&'static str, Runner); 3] {
     let mut no_ff = runner(cfg, policy);
     no_ff.fast_forward = false;
-    let mut no_batching = runner(cfg, policy);
-    no_batching.ack_batching = false;
+    let mut no_lag = runner(cfg, policy);
+    no_lag.partition_lag = false;
     [
         ("default", runner(cfg, policy)),
         ("ff=off", no_ff),
-        ("batching=off", no_batching),
+        ("lag=off", no_lag),
     ]
 }
 
@@ -353,7 +353,7 @@ fn coexec_matches_across_ff_modes() {
 /// completion-heavy inputs, in both VC modes: a pure PIM burst, where
 /// acks land essentially every cycle, and a reply-saturated
 /// co-execution, where a wide MEM kernel keeps the reply network's
-/// queues deep while the PIM co-runner floods the ack wires.
+/// queues deep while the PIM co-runner floods the ack schedules.
 #[test]
 fn completion_delivery_matches_reference() {
     let base = SystemConfig::default();
@@ -378,13 +378,13 @@ fn completion_delivery_matches_reference() {
     }
 }
 
-/// Retire-time completion batching (DESIGN.md §4k): with batching on
-/// (the default) controllers emit each burst plan's acks as one
-/// retire-time batch, partitions re-sort them into time-ordered delivery
-/// schedules, and each partition lags through visits while it holds no
-/// MEM work. Every observable, PIM completion logs included, must match
-/// the reference on both DRAM backends. The matrix runs VC1 (shared
-/// lanes maximize PIM/MEM interleaving in the staging ports).
+/// Partition lag (DESIGN.md §4k): every controller deposits each PIM
+/// op's ack in its schedule at issue (a burst plan's at the plan's
+/// creation), and with lag on (the default) each partition lags through
+/// visits while it holds no MEM work, its acks pulled at delivery. Every
+/// observable, PIM completion logs included, must match the reference on
+/// both DRAM backends. The matrix runs VC1 (shared lanes maximize
+/// PIM/MEM interleaving in the staging ports).
 ///
 /// Two PIM inputs: the saturated burst (credit cap 256) and a throttled
 /// one (cap 4, the `pim_sparse_lp5x` shape). Every PIM eject catches
@@ -393,7 +393,7 @@ fn completion_delivery_matches_reference() {
 /// drains: a pull skip loosened by 3 cycles passes the burst input and
 /// fails this one.
 #[test]
-fn ack_batching_matches_per_tick_oracle() {
+fn partition_lag_matches_reference() {
     for (backend, cfg) in backends() {
         // The throttled kernel runs at a larger scale than the burst so
         // its warps spend most of the run at their cap.
@@ -564,16 +564,16 @@ fn public_step_matches_eager_oracle_every_cycle() {
 /// waiting on DRAM timing — so the skip path must cover at least half of
 /// the run. Because the memory stage's reply summary and active set are
 /// exact, the probe must also see the same quiet spans whether or not
-/// ack batching defers memory visits. A stale summary (true for a whole
-/// deferral window after the reply network drained the wires) blocked
-/// almost every probe with batching on and none with it off. And since a
-/// partition holding MEM work never lags (DESIGN.md §4k), no partition of
-/// this MEM-only run lags the memory stage at all.
+/// partitions may lag the memory stage. A stale summary (true for a
+/// whole lag after the reply network drained the wires) blocked almost
+/// every probe with lag on and none with it off. And since a partition
+/// holding MEM work never lags (DESIGN.md §4k), no partition of this
+/// MEM-only run lags the memory stage at all.
 #[test]
-fn mem_sparse_fast_forward_is_batching_independent() {
-    let run = |acks: bool| {
+fn mem_sparse_fast_forward_is_lag_independent() {
+    let run = |lag: bool| {
         let mut sim = Simulator::new(SystemConfig::default(), PolicyKind::FrFcfs);
-        sim.set_ack_batching(acks);
+        sim.set_partition_lag(lag);
         let k = gpu_kernel(GpuBenchmark(10), 8, 0.05);
         let slots = k.num_slots();
         sim.mount(Box::new(k), (0..slots).collect(), false, false);
@@ -590,7 +590,7 @@ fn mem_sparse_fast_forward_is_batching_independent() {
     let (lazy, replays) = run(true);
     assert_eq!(
         lazy, eager,
-        "(cycles, (skips, skipped cycles)) with ack batching on"
+        "(cycles, (skips, skipped cycles)) with partition lag on"
     );
     assert_eq!(replays, 0, "a partition of a MEM-only run lagged");
 }

@@ -502,6 +502,14 @@ fn check_stall_memo_against_oracle(kinds: &[PolicyKind], mem_apps: &[AppId], see
                 fast.pop_completions_into(now, &mut fast_done);
                 oracle.pop_completions_into(now, &mut oracle_done);
                 assert_eq!(fast_done, oracle_done, "{}", ctx(now));
+                // Asked every cycle, each completion leaves on its own
+                // cycle, never early: equal lists alone would pass if
+                // both controllers handed acks out early.
+                assert!(
+                    fast_done.iter().all(|c| c.at == now),
+                    "{}: completion left off its cycle: {fast_done:?}",
+                    ctx(now)
+                );
                 assert_eq!(fast.mode(), oracle.mode(), "{}", ctx(now));
             }
             assert_eq!(fast.stats(), oracle.stats(), "{} final stats", kind.label());
@@ -646,6 +654,14 @@ fn burst_retirement_matches_full_step_oracle() {
                     fast.pop_completions_into(now, &mut fast_done);
                     oracle.pop_completions_into(now, &mut oracle_done);
                     assert_eq!(fast_done, oracle_done, "{}", ctx(now));
+                    // A plan deposits all its acks at creation: asked every
+                    // cycle, each must still leave on its own cycle. Equal
+                    // lists alone would pass if both drained early.
+                    assert!(
+                        fast_done.iter().all(|c| c.at == now),
+                        "{}: completion left off its cycle: {fast_done:?}",
+                        ctx(now)
+                    );
                     assert_eq!(fast.mode(), oracle.mode(), "{}", ctx(now));
                     // Stats must agree at EVERY cycle, not just at the end:
                     // the simulator snapshots stats whenever a run stops, and
