@@ -26,11 +26,6 @@ fn main() {
         args.scale
     );
     let report = or_exit(run_competitive(&cfg));
-    if let Some(path) = &args.csv {
-        pimsim_bench::write_competitive_csv(path, &report.points)
-            .unwrap_or_else(|e| eprintln!("csv write failed: {e}"));
-        eprintln!("raw points written to {}", path.display());
-    }
 
     use pimsim_sim::experiments::competitive::CompetitivePoint;
     type Metric = fn(&CompetitivePoint) -> f64;

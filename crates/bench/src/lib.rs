@@ -1,6 +1,5 @@
 //! Shared helpers for the figure-regeneration binaries, and the
-//! scenario set the simulator-throughput benches (`hotloop`, `ablation`)
-//! share.
+//! scenario set the simulator gates `hotloop` and `ablation` share.
 //!
 //! Every figure binary accepts the same flags:
 //!
@@ -34,8 +33,6 @@ pub struct BenchArgs {
     pub quick: bool,
     /// DRAM backend the sweep runs on (registry-resolved; default HBM).
     pub dram: DramBackendKind,
-    /// Optional path to also dump raw sweep points as CSV.
-    pub csv: Option<std::path::PathBuf>,
 }
 
 impl Default for BenchArgs {
@@ -45,7 +42,6 @@ impl Default for BenchArgs {
             budget: 6_000_000,
             quick: false,
             dram: DramBackendKind::default(),
-            csv: None,
         }
     }
 }
@@ -74,11 +70,6 @@ impl BenchArgs {
                     let spec = it.next().unwrap_or_else(|| usage("--dram needs a spec"));
                     args.dram = pimsim_dram::backend::parse_spec(&spec)
                         .unwrap_or_else(|e| usage(&format!("--dram: {e}")));
-                }
-                "--csv" => {
-                    args.csv = Some(std::path::PathBuf::from(
-                        it.next().unwrap_or_else(|| usage("--csv needs a path")),
-                    ));
                 }
                 "--help" | "-h" => usage(""),
                 other => usage(&format!("unknown flag: {other}")),
@@ -110,46 +101,8 @@ fn usage(msg: &str) -> ! {
     if !msg.is_empty() {
         eprintln!("error: {msg}");
     }
-    eprintln!("usage: <bin> [--scale F] [--budget N] [--quick] [--dram SPEC] [--csv FILE]");
+    eprintln!("usage: <bin> [--scale F] [--budget N] [--quick] [--dram SPEC]");
     std::process::exit(if msg.is_empty() { 0 } else { 2 });
-}
-
-/// Writes the raw points of a competitive sweep as CSV (one row per
-/// simulation), for external plotting.
-///
-/// # Errors
-///
-/// Returns any I/O error from creating or writing the file.
-pub fn write_competitive_csv(
-    path: &std::path::Path,
-    points: &[pimsim_sim::experiments::competitive::CompetitivePoint],
-) -> std::io::Result<()> {
-    use std::io::Write;
-    let mut f = std::io::BufWriter::new(std::fs::File::create(path)?);
-    writeln!(
-        f,
-        "gpu,pim,policy,vc,mem_speedup,pim_speedup,fairness,throughput,\
-mem_arrival_ratio,switches,conflicts_per_switch,drain_per_switch"
-    )?;
-    for p in points {
-        writeln!(
-            f,
-            "{},{},{},{},{},{},{},{},{},{},{},{}",
-            p.gpu.label(),
-            p.pim.label(),
-            p.policy.label(),
-            p.vc.label(),
-            p.mem_speedup,
-            p.pim_speedup,
-            p.fairness,
-            p.throughput,
-            p.mem_arrival_ratio,
-            p.switches,
-            p.conflicts_per_switch,
-            p.drain_per_switch
-        )?;
-    }
-    Ok(())
 }
 
 /// Formats a five-number summary as `min/q1/med/q3/max`.
@@ -165,8 +118,8 @@ pub fn header(title: &str) {
     println!("\n=== {title} ===");
 }
 
-/// The simulator-throughput scenarios `hotloop` times and `ablation`
-/// switches fast paths off on, in report order.
+/// The simulator-throughput scenarios `hotloop` gates on counters and
+/// `ablation` switches fast paths off on, in report order.
 pub const HOTLOOP_SCENARIOS: [&str; 6] = [
     "standalone_mem",
     "standalone_pim",
