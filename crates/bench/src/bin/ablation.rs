@@ -20,7 +20,7 @@
 
 use std::time::Instant;
 
-use pimsim_bench::{header, hotloop_runner, run_hotloop_scenario, HOTLOOP_SCENARIOS};
+use pimsim_bench::{hotloop_runner, run_hotloop_scenario, HOTLOOP_SCENARIOS};
 use pimsim_core::McStats;
 use pimsim_sim::Runner;
 
@@ -61,7 +61,7 @@ fn main() {
     let host_cpus = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);
-    header("Fast-path ablation: wall time with one switch flipped / default (median of pairs)");
+    println!("\n=== Fast-path ablation: wall time with one switch flipped / default (median of pairs) ===");
     println!("  host CPUs: {host_cpus}, {PAIRS} interleaved pairs per cell\n");
     let default: Switch = |_| {};
     let switches: [(&str, Switch); 3] = [
@@ -137,8 +137,7 @@ fn main() {
             cells.join(",\n")
         ));
     }
-    // serde is vendored as a no-op shim in this workspace, so the JSON is
-    // formatted by hand.
+    // The workspace has no serializer, so the JSON is formatted by hand.
     let json = format!(
         "{{\n  \"benchmark\": \"ablation\",\n  \"unit\": \"wall_time_ratio_switched_over_default\",\n  \"pairs\": {PAIRS},\n  \"host_cpus\": {host_cpus},\n  \"results\": [\n{}\n  ]\n}}\n",
         entries.join(",\n")

@@ -26,7 +26,7 @@
 use std::time::Instant;
 
 use pimsim_bench::{
-    header, hotloop_config, hotloop_kernels, hotloop_policy, hotloop_runner, run_hotloop_scenario,
+    hotloop_config, hotloop_kernels, hotloop_policy, hotloop_runner, run_hotloop_scenario,
     HOTLOOP_BUDGET, HOTLOOP_SCENARIOS,
 };
 use pimsim_core::StepMix;
@@ -111,7 +111,7 @@ fn profile_scenario(name: &str) -> Pass {
 }
 
 fn main() {
-    header("Hot-loop gate: one profiled pass per scenario against BENCH_hotloop.json");
+    println!("\n=== Hot-loop gate: one profiled pass per scenario against BENCH_hotloop.json ===");
     let committed =
         std::fs::read_to_string(COMMITTED).unwrap_or_else(|e| panic!("read {COMMITTED}: {e}"));
     let mut entries = Vec::new();
@@ -316,9 +316,9 @@ fn main() {
             stage_fields.join(",\n")
         ));
     }
-    // serde is vendored as a no-op shim in this workspace, so the JSON is
-    // formatted by hand. `HOTLOOP_OUT` overrides the path; empty skips the
-    // write (the tier-1 smoke leaves the committed file as it is).
+    // The workspace has no serializer, so the JSON is formatted by hand.
+    // `HOTLOOP_OUT` overrides the path; empty skips the write (the tier-1
+    // smoke leaves the committed file as it is).
     let out = std::env::var("HOTLOOP_OUT").unwrap_or_else(|_| "BENCH_hotloop.json".into());
     if !out.is_empty() {
         let json = format!(

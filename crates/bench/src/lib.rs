@@ -1,7 +1,8 @@
-//! Shared helpers for the figure-regeneration binaries, and the
-//! scenario set the simulator gates `hotloop` and `ablation` share.
+//! The figure renderers behind `regen`, the table of the `results/`
+//! files they write, and the scenario set the simulator gates `hotloop`
+//! and `ablation` share.
 //!
-//! Every figure binary accepts the same flags:
+//! Every figure takes the same flags (see [`BenchArgs`]):
 //!
 //! * `--scale <f64>` — workload scale (default 0.2; 1.0 = the largest
 //!   footprints the fast sweep was tuned for).
@@ -22,7 +23,10 @@ use pimsim_sim::{KernelModel, Runner};
 use pimsim_types::{DramBackendKind, SystemConfig};
 use pimsim_workloads::{gpu_kernel, pim_kernel, pim_suite::PimBenchmark, rodinia::GpuBenchmark};
 
-/// Common command-line options for figure binaries.
+pub mod figures;
+pub mod regen;
+
+/// The flags every figure takes.
 #[derive(Debug, Clone)]
 pub struct BenchArgs {
     /// Workload scale factor.
@@ -47,38 +51,37 @@ impl Default for BenchArgs {
 }
 
 impl BenchArgs {
-    /// Parses `std::env::args`, exiting with usage on error.
-    pub fn parse() -> Self {
+    /// Parses `flags` over the defaults.
+    ///
+    /// # Errors
+    ///
+    /// A message naming a flag that is unknown or lacks a valid value.
+    pub fn parse<S: AsRef<str>>(flags: &[S]) -> Result<Self, String> {
         let mut args = BenchArgs::default();
-        let mut it = std::env::args().skip(1);
-        while let Some(a) = it.next() {
-            match a.as_str() {
+        let mut it = flags.iter().map(AsRef::as_ref);
+        while let Some(flag) = it.next() {
+            let mut value = |msg: &str| it.next().ok_or_else(|| msg.to_owned());
+            match flag {
                 "--scale" => {
-                    args.scale = it
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| usage("--scale needs a positive number"));
+                    let msg = "--scale needs a positive number";
+                    args.scale = value(msg)?.parse().map_err(|_| msg)?;
                 }
                 "--budget" => {
-                    args.budget = it
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| usage("--budget needs an integer"));
+                    let msg = "--budget needs an integer";
+                    args.budget = value(msg)?.parse().map_err(|_| msg)?;
                 }
                 "--quick" => args.quick = true,
                 "--dram" => {
-                    let spec = it.next().unwrap_or_else(|| usage("--dram needs a spec"));
-                    args.dram = pimsim_dram::backend::parse_spec(&spec)
-                        .unwrap_or_else(|e| usage(&format!("--dram: {e}")));
+                    args.dram = pimsim_dram::backend::parse_spec(value("--dram needs a spec")?)
+                        .map_err(|e| format!("--dram: {e}"))?;
                 }
-                "--help" | "-h" => usage(""),
-                other => usage(&format!("unknown flag: {other}")),
+                other => return Err(format!("unknown flag: {other}")),
             }
         }
         if !pimsim_workloads::valid_scale(args.scale) {
-            usage("--scale must be finite and positive");
+            return Err("--scale must be finite and positive".into());
         }
-        args
+        Ok(args)
     }
 
     /// The system configuration for the selected backend (Table I GPU
@@ -86,36 +89,6 @@ impl BenchArgs {
     pub fn system(&self) -> SystemConfig {
         pimsim_dram::backend::system_config(self.dram)
     }
-}
-
-/// Unwraps a figure driver's result, or prints its error (a cycle-budget
-/// overrun) and exits with status 1, the CLI's runtime-error code.
-pub fn or_exit<T, E: std::fmt::Display>(result: Result<T, E>) -> T {
-    result.unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(1)
-    })
-}
-
-fn usage(msg: &str) -> ! {
-    if !msg.is_empty() {
-        eprintln!("error: {msg}");
-    }
-    eprintln!("usage: <bin> [--scale F] [--budget N] [--quick] [--dram SPEC]");
-    std::process::exit(if msg.is_empty() { 0 } else { 2 });
-}
-
-/// Formats a five-number summary as `min/q1/med/q3/max`.
-pub fn fmt_box(f: pimsim_stats::FiveNumber) -> String {
-    format!(
-        "{:8.2} {:8.2} {:8.2} {:8.2} {:8.2}",
-        f.min, f.q1, f.median, f.q3, f.max
-    )
-}
-
-/// Prints a section header in the style of the figure captions.
-pub fn header(title: &str) {
-    println!("\n=== {title} ===");
 }
 
 /// The simulator-throughput scenarios `hotloop` gates on counters and
@@ -237,17 +210,5 @@ mod tests {
         assert!(a.budget > 0);
         assert!(!a.quick);
         a.system().validate().unwrap();
-    }
-
-    #[test]
-    fn fmt_box_renders_five_numbers() {
-        let s = fmt_box(pimsim_stats::FiveNumber {
-            min: 1.0,
-            q1: 2.0,
-            median: 3.0,
-            q3: 4.0,
-            max: 5.0,
-        });
-        assert!(s.contains("3.00"));
     }
 }

@@ -10,10 +10,8 @@
 //! a pair of counters and comparators, trading combinational area (LUTs)
 //! for a few more flip-flops.
 
-use serde::{Deserialize, Serialize};
-
 /// Structural element counts for one mode-switch logic design.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SwitchLogicComplexity {
     /// Design name.
     pub name: &'static str,

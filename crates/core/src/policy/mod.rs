@@ -24,7 +24,6 @@ pub use sms::Sms;
 use std::collections::VecDeque;
 
 use pimsim_types::{AppId, Cycle, Mode};
-use serde::{Deserialize, Serialize};
 
 use crate::queue::QueuedRequest;
 
@@ -253,7 +252,7 @@ pub trait SchedulePolicy: std::fmt::Debug + Send {
 /// let policy = PolicyKind::F3fs { mem_cap: 256, pim_cap: 256 }.build();
 /// assert_eq!(policy.name(), "F3FS");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PolicyKind {
     /// First-come first-served across both queues.
     Fcfs,

@@ -9,12 +9,11 @@
 //! avoid the I/O energy of moving data across the bus.
 
 use pimsim_types::Cycle;
-use serde::{Deserialize, Serialize};
 
 use crate::channel::ChannelStats;
 
 /// Per-command energies (picojoules) and background power.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EnergyConfig {
     /// Activate + implicit restore energy per bank, pJ.
     pub e_act: f64,
@@ -51,7 +50,7 @@ impl Default for EnergyConfig {
 }
 
 /// Energy breakdown for one channel over a run, in picojoules.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct EnergyBreakdown {
     /// Row activates + precharges.
     pub row: f64,

@@ -1,10 +1,9 @@
 //! No-op stand-in for `serde`'s derive surface.
 //!
-//! The workspace only uses serde through `#[derive(Serialize, Deserialize)]`
-//! annotations — nothing serializes at runtime yet. This vendored shim lets
-//! those derives compile in offline environments by expanding to nothing.
-//! Swapping the workspace dependency back to the real `serde` is a one-line
-//! change in the root `Cargo.toml` and requires no source edits.
+//! Nothing in the workspace derives or calls it any more. The crates that
+//! still list it as a dependency keep it only because `pimbench/Cargo.lock`
+//! records that graph; the lines and this crate go together with the next
+//! change to `pimbench/`.
 
 use proc_macro::TokenStream;
 

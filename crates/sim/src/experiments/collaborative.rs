@@ -1,54 +1,79 @@
-//! Figure 11 (and the LLM half of Figure 14a): the GPT-3-like
-//! collaborative scenario — QKV generation on the GPU overlapped with
-//! multi-head attention on PIM — under every policy and VC configuration.
+//! The collaborative scenarios: a GPU kernel overlapped with a PIM kernel,
+//! each run alone and then together under a list of (policy, VC)
+//! settings. The LLM scenario (QKV generation on the GPU, multi-head
+//! attention on PIM) is Figure 11 and the LLM half of Figure 14a; the FFT
+//! scenario (transpose on the GPU, butterflies on PIM) is its mirror.
 
 use pimsim_core::PolicyKind;
-use pimsim_gpu::{PimKernelModel, SyntheticGpuKernel};
+use pimsim_gpu::KernelModel;
 use pimsim_types::{SystemConfig, VcMode};
-use pimsim_workloads::llm::{mha_spec, qkv_params};
+use pimsim_workloads::{fft_scenario, llm_scenario};
 
-use crate::runner::Runner;
+use crate::runner::{CollabOutcome, Runner};
 use crate::system::CycleBudgetExceeded;
 
 use super::sweep::parallel_map;
 
-/// One bar of Figure 11.
+/// Which pair of kernels a collaborative run overlaps.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Scenario {
+    /// QKV generation on the GPU, multi-head attention on PIM; the GPU
+    /// stage is the longer one.
+    Llm,
+    /// Transpose/twiddle on the GPU, row-wise butterflies on PIM; the PIM
+    /// stage is the longer one.
+    Fft,
+}
+
+impl Scenario {
+    /// The GPU kernel (on every SM above the first 8) and the PIM kernel
+    /// (one warp per channel) for `system` at `scale`.
+    fn kernels(
+        self,
+        system: &SystemConfig,
+        scale: f64,
+    ) -> (Box<dyn KernelModel>, Box<dyn KernelModel>) {
+        let gpu_sms = system.gpu.num_sms - 8;
+        let channels = system.dram.channels;
+        let warps = system.gpu.pim_warps_per_sm;
+        let outstanding = system.gpu.max_outstanding_pim_per_warp as u32;
+        match self {
+            Scenario::Llm => {
+                let s = llm_scenario(gpu_sms, channels, warps, outstanding, scale);
+                (Box::new(s.qkv), Box::new(s.mha))
+            }
+            Scenario::Fft => {
+                let s = fft_scenario(gpu_sms, channels, warps, outstanding, scale);
+                (Box::new(s.transpose), Box::new(s.butterflies))
+            }
+        }
+    }
+}
+
+/// One concurrent run of a collaborative sweep.
 #[derive(Debug, Clone)]
 pub struct CollabPoint {
     /// Policy.
     pub policy: PolicyKind,
     /// VC configuration.
     pub vc: VcMode,
-    /// Speedup over sequential execution of QKV then MHA.
-    pub speedup: f64,
+    /// Speedup over running the GPU kernel, then the PIM kernel; `None`
+    /// if the pair overran the budget.
+    pub speedup: Option<f64>,
 }
 
-/// Figure 11's full result: per-policy speedups plus the ideal bound.
+/// A collaborative sweep: each kernel's standalone time and one point
+/// per setting.
 #[derive(Debug, Clone)]
 pub struct CollabReport {
-    /// All measured points.
+    /// One point per (policy, VC) setting, in the order given.
     pub points: Vec<CollabPoint>,
-    /// QKV standalone time (72 SMs), GPU cycles.
-    pub qkv_alone: u64,
-    /// MHA standalone time, GPU cycles.
-    pub mha_alone: u64,
+    /// GPU kernel alone (on the SMs above the PIM kernel's), GPU cycles.
+    pub gpu_alone: u64,
+    /// PIM kernel alone, GPU cycles.
+    pub pim_alone: u64,
     /// Perfect-overlap speedup bound.
     pub ideal: f64,
-}
-
-fn qkv(system: &SystemConfig, scale: f64) -> SyntheticGpuKernel {
-    SyntheticGpuKernel::new(qkv_params(scale), system.gpu.num_sms - 8)
-}
-
-fn mha(system: &SystemConfig, scale: f64) -> PimKernelModel {
-    let channels = system.dram.channels;
-    let warps = system.gpu.pim_warps_per_sm;
-    PimKernelModel::new(
-        mha_spec(channels, scale),
-        channels / warps,
-        warps,
-        system.gpu.max_outstanding_pim_per_warp as u32,
-    )
 }
 
 /// F3FS CAP choices for the LLM, from a sensitivity study against our
@@ -70,61 +95,60 @@ pub fn f3fs_llm_caps(vc: VcMode) -> PolicyKind {
     }
 }
 
-/// Runs the collaborative scenario for every (policy, vc), substituting
-/// the LLM-tuned F3FS CAPs for the generic competitive ones.
+/// Figure 11's settings: under each VC configuration, the eight
+/// baselines and F3FS with the LLM-tuned CAPs ([`f3fs_llm_caps`]).
+pub fn llm_settings() -> Vec<(PolicyKind, VcMode)> {
+    [VcMode::Shared, VcMode::SplitPim]
+        .into_iter()
+        .flat_map(|vc| {
+            let mut policies = PolicyKind::baselines();
+            policies.push(f3fs_llm_caps(vc));
+            policies.into_iter().map(move |policy| (policy, vc))
+        })
+        .collect()
+}
+
+/// Runs `scenario`'s two kernels alone (FR-FCFS, on four times the
+/// budget), then together under every setting, side by side.
 ///
 /// # Errors
 ///
-/// [`CycleBudgetExceeded`] if QKV or MHA alone overruns `4 * budget`.
+/// [`CycleBudgetExceeded`] if a kernel alone overruns `4 * budget`. A
+/// concurrent run that overruns `budget` is a point without a speedup.
 pub fn run_collaborative(
     system: &SystemConfig,
+    scenario: Scenario,
     scale: f64,
     budget: u64,
+    settings: Vec<(PolicyKind, VcMode)>,
 ) -> Result<CollabReport, CycleBudgetExceeded> {
-    // Standalone references (policy-independent; FR-FCFS used).
     let mut solo_runner = Runner::new(system.clone(), PolicyKind::FrFcfs);
     solo_runner.max_gpu_cycles = budget * 4;
-    let qkv_alone = solo_runner
-        .standalone(Box::new(qkv(system, scale)), 8, false)?
-        .cycles;
-    let mha_alone = solo_runner
-        .standalone(Box::new(mha(system, scale)), 0, true)?
-        .cycles;
+    let (gpu, _) = scenario.kernels(system, scale);
+    let gpu_alone = solo_runner.standalone(gpu, 8, false)?.cycles;
+    let (_, pim) = scenario.kernels(system, scale);
+    let pim_alone = solo_runner.standalone(pim, 0, true)?.cycles;
 
-    let mut jobs = Vec::new();
-    for vc in [VcMode::Shared, VcMode::SplitPim] {
-        let mut policies = PolicyKind::baselines();
-        policies.push(f3fs_llm_caps(vc));
-        for policy in policies {
-            jobs.push((policy, vc));
-        }
-    }
-    let base_system = system.clone();
-    let points = parallel_map(jobs, move |(policy, vc)| {
-        let mut sys = base_system.clone();
+    let points = parallel_map(settings, |(policy, vc)| {
+        let mut sys = system.clone();
         sys.noc.vc_mode = vc;
         let mut runner = Runner::new(sys, policy);
         runner.max_gpu_cycles = budget;
-        let speedup = match runner.collaborative(
-            Box::new(qkv(&base_system, scale)),
-            Box::new(mha(&base_system, scale)),
-        ) {
-            Ok(out) => out.speedup(qkv_alone, mha_alone),
-            // A policy that cannot finish the pair in budget effectively
-            // serializes worse than sequential.
-            Err(_) => (qkv_alone + mha_alone) as f64 / (budget as f64),
-        };
+        let (gpu, pim) = scenario.kernels(system, scale);
         CollabPoint {
             policy,
             vc,
-            speedup,
+            speedup: runner
+                .collaborative(gpu, pim)
+                .ok()
+                .map(|out| out.speedup(gpu_alone, pim_alone)),
         }
     });
     Ok(CollabReport {
         points,
-        qkv_alone,
-        mha_alone,
-        ideal: crate::runner::CollabOutcome::ideal_speedup(qkv_alone, mha_alone),
+        gpu_alone,
+        pim_alone,
+        ideal: CollabOutcome::ideal_speedup(gpu_alone, pim_alone),
     })
 }
 
@@ -133,24 +157,31 @@ mod tests {
     use super::*;
 
     #[test]
-    #[ignore = "several seconds; run via `scripts/tier1.sh --slow` or the fig11 binary"]
+    #[ignore = "several seconds; run via `scripts/tier1.sh --slow` or `regen fig11`"]
     fn qkv_runs_longer_and_speedups_bounded_by_ideal() {
-        let report =
-            run_collaborative(&SystemConfig::default(), 0.1, 20_000_000).expect("finishes");
+        let report = run_collaborative(
+            &SystemConfig::default(),
+            Scenario::Llm,
+            0.1,
+            20_000_000,
+            llm_settings(),
+        )
+        .expect("finishes");
         // The scenario's premise: QKV (GPU) is the longer kernel.
         assert!(
-            report.qkv_alone > report.mha_alone,
+            report.gpu_alone > report.pim_alone,
             "QKV {} must outlast MHA {}",
-            report.qkv_alone,
-            report.mha_alone
+            report.gpu_alone,
+            report.pim_alone
         );
         assert!(report.ideal > 1.0 && report.ideal <= 2.0);
         for p in &report.points {
+            let Some(speedup) = p.speedup else { continue };
             assert!(
-                p.speedup <= report.ideal * 1.05,
+                speedup <= report.ideal * 1.05,
                 "{:?} exceeds ideal: {} > {}",
                 p.policy,
-                p.speedup,
+                speedup,
                 report.ideal
             );
         }
@@ -158,6 +189,9 @@ mod tests {
 
     #[test]
     fn budget_overrun_is_an_error() {
-        assert!(run_collaborative(&SystemConfig::default(), 0.01, 0).is_err());
+        for scenario in [Scenario::Llm, Scenario::Fft] {
+            let run = run_collaborative(&SystemConfig::default(), scenario, 0.01, 0, vec![]);
+            assert!(run.is_err(), "{scenario:?}");
+        }
     }
 }

@@ -1,14 +1,15 @@
 //! Experiment drivers regenerating the paper's evaluation.
 //!
 //! Each submodule corresponds to a group of figures; the `pimsim-bench`
-//! crate's binaries call these drivers and print the paper-shaped tables.
+//! crate's `regen` binary calls these drivers and prints the paper-shaped
+//! tables.
 //!
 //! | Driver | Paper artifact |
 //! |--------|----------------|
 //! | [`characterization`] | Figure 4 (and Table I echo) |
 //! | [`interference`] | Figure 5 |
 //! | [`competitive`] | Figures 6, 8, 10, 13, 14b |
-//! | [`collaborative`] | Figures 11 and 14a (LLM half) |
+//! | [`collaborative`] | Figures 11 and 14a (LLM half), the FFT scenario |
 
 pub mod characterization;
 pub mod collaborative;

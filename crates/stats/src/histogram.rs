@@ -5,8 +5,6 @@
 //! with at most 2x relative error at constant memory — plenty for
 //! comparing queueing-delay distributions across scheduling policies.
 
-use serde::{Deserialize, Serialize};
-
 /// Number of buckets: covers values up to `2^63`.
 const BUCKETS: usize = 64;
 
@@ -24,7 +22,7 @@ const BUCKETS: usize = 64;
 /// assert_eq!(h.count(), 5);
 /// assert!(h.quantile(0.5).unwrap() >= 20);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Histogram {
     counts: Vec<u64>,
     total: u64,

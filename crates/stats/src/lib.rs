@@ -29,8 +29,6 @@ pub mod table;
 
 pub use histogram::Histogram;
 
-use serde::{Deserialize, Serialize};
-
 /// A stats bundle that can absorb another instance of itself.
 ///
 /// Implemented by per-channel counter structs (`McStats`, `ChannelStats`)
@@ -61,7 +59,7 @@ pub trait Mergeable: Default {
 }
 
 /// Online count/sum/min/max accumulator for a stream of observations.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Running {
     count: u64,
     sum: f64,
@@ -127,13 +125,13 @@ impl Running {
 /// Used for the inter-kernel distributions in the characterization figures,
 /// where the population is small (tens of kernels) and storing every sample
 /// is appropriate.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Samples {
     values: Vec<f64>,
 }
 
 /// Five-number summary of a sample set (box-plot statistics).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FiveNumber {
     /// Minimum (lower whisker).
     pub min: f64,

@@ -4,8 +4,6 @@
 //! application's standalone execution time to its execution time under
 //! contention.
 
-use serde::{Deserialize, Serialize};
-
 /// Fairness Index (Eyerman & Eeckhout):
 /// `min(s_a / s_b, s_b / s_a)`.
 ///
@@ -32,7 +30,7 @@ pub fn system_throughput(speedup_a: f64, speedup_b: f64) -> f64 {
 
 /// Per-application speedups of one co-execution run, plus the derived
 /// metrics.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CoexecMetrics {
     /// Speedup of the regular GPU (MEM) kernel.
     pub mem_speedup: f64,

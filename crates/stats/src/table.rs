@@ -1,4 +1,4 @@
-//! Minimal fixed-width text tables for the figure-regeneration binaries.
+//! Minimal fixed-width text tables for the figure renderers behind `regen`.
 //!
 //! The paper's artifact renders matplotlib figures; our harness prints the
 //! same rows/series as aligned text so results can be diffed and inspected
@@ -95,7 +95,7 @@ impl Table {
 }
 
 /// Formats an `f64` with three decimal places, the convention used by the
-/// figure binaries.
+/// figure renderers.
 pub fn f3(x: f64) -> String {
     format!("{x:.3}")
 }

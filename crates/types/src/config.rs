@@ -3,10 +3,8 @@
 //! Defaults reproduce Table I of the paper (NVIDIA Quadro GV100-class GPU
 //! with HBM memory). All sizes are per the units in each field's docs.
 
-use serde::{Deserialize, Serialize};
-
 /// Interconnect virtual-channel configuration (Section V of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum VcMode {
     /// Baseline: MEM and PIM requests share a single virtual channel and a
     /// single set of queues ("VC1" in the paper, Figure 7a).
@@ -42,7 +40,7 @@ impl std::fmt::Display for VcMode {
 }
 
 /// GPU core parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GpuConfig {
     /// Number of streaming multiprocessors (Table I: 80).
     pub num_sms: usize,
@@ -76,7 +74,7 @@ impl Default for GpuConfig {
 }
 
 /// Interconnect parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NocConfig {
     /// Total buffer entries per injection port (Table I: 512). Under
     /// [`VcMode::SplitPim`] this is split in half between the MEM and PIM
@@ -105,7 +103,7 @@ impl Default for NocConfig {
 }
 
 /// L2 cache parameters. The cache is sliced per memory channel.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CacheConfig {
     /// Total capacity in bytes across all slices (Table I: 6 MB).
     pub total_bytes: usize,
@@ -133,7 +131,7 @@ impl Default for CacheConfig {
 }
 
 /// DRAM timing parameters, in DRAM cycles (Table I).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DramTiming {
     /// Column-to-column delay, different bank group.
     pub t_ccds: u64,
@@ -206,7 +204,7 @@ impl Default for DramTiming {
 /// write-to-read turnaround). Each preset enables or disables those
 /// constraints as a documented group; ablations that want one knob at a
 /// time should start from a preset and zero individual fields explicitly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TimingPreset {
     /// Table I of the paper (HBM at 850 MHz). tFAW/tWTR/refresh are all
     /// disabled, matching the paper's simulator configuration.
@@ -267,7 +265,7 @@ impl DramTiming {
 }
 
 /// DRAM organization parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DramConfig {
     /// Number of memory channels (Table I: 32).
     pub channels: usize,
@@ -307,7 +305,7 @@ impl Default for DramConfig {
 }
 
 /// Row-buffer management policy for MEM accesses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PagePolicy {
     /// Open-page: rows stay open after a column access (the paper's
     /// implicit policy; row hits are possible and FR-FCFS exploits them).
@@ -320,7 +318,7 @@ pub enum PagePolicy {
 }
 
 /// Memory-controller and memory-partition queue parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct McConfig {
     /// MEM queue entries per channel (Table I: 64).
     pub mem_q_entries: usize,
@@ -349,7 +347,7 @@ impl Default for McConfig {
 }
 
 /// Address-mapping scheme selection.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AddressMapConfig {
     /// Bit-sliced mapping described by a pattern string over the address
     /// bits above the DRAM-word offset, most-significant bit first, using
@@ -384,7 +382,7 @@ impl Default for AddressMapConfig {
 /// `pimsim-dram` backend registry (`pimsim_dram::backend`), mirroring how
 /// `PolicyKind` is only interpreted by `pimsim_core::policy::registry`.
 /// Crates outside `pimsim-dram` carry the kind around opaquely.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum DramBackendKind {
     /// The paper's HBM substrate (Table I). The default backend; a
     /// `SystemConfig::default()` is an HBM system.
@@ -400,7 +398,7 @@ pub enum DramBackendKind {
 }
 
 /// Full system configuration. `SystemConfig::default()` reproduces Table I.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct SystemConfig {
     /// GPU core parameters.
     pub gpu: GpuConfig,

@@ -10,17 +10,13 @@
 //!   *PIM mode*, where a single request executes on **all banks of a
 //!   channel in lock-step**.
 
-use serde::{Deserialize, Serialize};
-
 use crate::Cycle;
 
 /// A physical byte address.
 ///
 /// The DRAM address mapper (in `pimsim-dram`) decodes this into a
 /// [`DecodedAddr`] according to the configured bit layout.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct PhysAddr(pub u64);
 
 impl std::fmt::Display for PhysAddr {
@@ -42,7 +38,7 @@ impl From<u64> for PhysAddr {
 }
 
 /// A physical address decoded into DRAM coordinates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct DecodedAddr {
     /// Memory channel index.
     pub channel: u16,
@@ -55,9 +51,7 @@ pub struct DecodedAddr {
 }
 
 /// Monotonically increasing request identifier, unique within a simulation.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct RequestId(pub u64);
 
 impl std::fmt::Display for RequestId {
@@ -71,9 +65,7 @@ impl std::fmt::Display for RequestId {
 /// In the paper's scenarios at most two applications co-execute: a regular
 /// GPU kernel and a PIM kernel. The type is a small integer so other
 /// pairings (e.g. two GPU kernels in Figure 5) are expressible too.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct AppId(pub u8);
 
 impl AppId {
@@ -99,7 +91,7 @@ impl std::fmt::Display for AppId {
 /// MEM and PIM requests cannot be serviced concurrently; the controller's
 /// arbiter switches between the two modes, draining in-flight requests at
 /// each switch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Mode {
     /// Servicing regular load/store requests from the MEM queue.
     Mem,
@@ -130,7 +122,7 @@ impl std::fmt::Display for Mode {
 ///
 /// All three kinds are column accesses from the DRAM's perspective; they
 /// differ in how they use the PIM functional unit's register file.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PimOpKind {
     /// Load a DRAM word from the open row into the register file.
     RfLoad,
@@ -158,7 +150,7 @@ impl std::fmt::Display for PimOpKind {
 /// precharge + activate. Blocks must execute in order for correctness
 /// (their operations communicate through the register file), which the
 /// memory controller guarantees by servicing the PIM queue FCFS.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PimCommand {
     /// Operation kind (load / compute / store relative to the RF).
     pub op: PimOpKind,
@@ -179,7 +171,7 @@ pub struct PimCommand {
 }
 
 /// What a request asks the memory subsystem to do.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RequestKind {
     /// Regular load. Filtered by the L2 cache; returns data to the SM.
     MemRead,
@@ -223,7 +215,7 @@ impl RequestKind {
 ///
 /// Requests are created by the GPU model, carried through the interconnect
 /// and cache as opaque payloads, and consumed by the memory controller.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Request {
     /// Unique identifier (issue order at the GPU).
     pub id: RequestId,

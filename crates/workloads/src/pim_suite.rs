@@ -7,12 +7,11 @@
 //! hits on `n-1` of them.
 
 use pimsim_gpu::{PimKernelModel, PimKernelSpec, PimPhase};
-use serde::{Deserialize, Serialize};
 
 use crate::valid_scale;
 
 /// Identifier of a PIM benchmark (P1..P9 in Table III).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PimBenchmark(pub u8);
 
 impl PimBenchmark {

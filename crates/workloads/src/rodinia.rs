@@ -14,12 +14,11 @@
 //!   filters well (the "common case of moderate memory traffic").
 
 use pimsim_gpu::{GpuKernelParams, SyntheticGpuKernel};
-use serde::{Deserialize, Serialize};
 
 use crate::valid_scale;
 
 /// Identifier of a Rodinia benchmark (G1..G20 in the paper's tables).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct GpuBenchmark(pub u8);
 
 impl GpuBenchmark {

@@ -56,6 +56,14 @@ cargo run -q --release -p pimsim-cli --bin pimsim -- list | grep -q "lp5x"
 cargo run -q --release -p pimsim-cli --bin pimsim -- \
   standalone --pim P1 --dram lp5x:ranks=4 --scale 0.01 >/dev/null
 
+# Figure smoke (crates/bench/tests/regen.rs): every row of `regen`'s
+# table renders at `--quick --scale 0.01` on its own backend and budget,
+# besides the CLI checks the debug pass already ran (usage errors exit 2,
+# a budget overrun exits 1, a closed stdout exits 0, one row per
+# results/*.txt). The smoke is ignored in debug as too slow there; about
+# 15 s in release.
+cargo test -q --release -p pimsim-bench
+
 # Hot-loop smoke (DESIGN.md §4g): per scenario, one profiled pass in the
 # default configuration and one untimed pass with fast-forward off, which
 # must simulate the same number of cycles. The profiled pass fails the

@@ -176,7 +176,7 @@ fn run_cell(
     fields
 }
 
-/// Hand-rolled JSON writer (serde is a no-op shim in this workspace).
+/// Hand-rolled JSON writer (the workspace has no serializer).
 fn to_json(records: &[(String, Vec<(&'static str, u64)>)]) -> String {
     let mut s = String::from("[\n");
     for (i, (scenario, fields)) in records.iter().enumerate() {
