@@ -16,11 +16,10 @@
 use std::io::{self, Write};
 
 use pimsim_core::PolicyKind;
+use pimsim_sim::experiments::collaborative::Scenario;
 use pimsim_sim::Runner;
 use pimsim_types::{DramBackendKind, SystemConfig, VcMode};
-use pimsim_workloads::{
-    gpu_kernel, llm_scenario, pim_kernel, pim_suite::PimBenchmark, rodinia::GpuBenchmark,
-};
+use pimsim_workloads::{gpu_kernel, pim_kernel, pim_suite::PimBenchmark, rodinia::GpuBenchmark};
 
 /// A parsed CLI invocation.
 #[derive(Debug, Clone, PartialEq)]
@@ -29,7 +28,9 @@ pub enum Command {
     List,
     /// Run one kernel alone.
     Standalone(RunOpts),
-    /// Competitive co-execution (GPU on 72 SMs, PIM on 8).
+    /// Competitive co-execution: the PIM kernel on one SM per
+    /// `pim_warps_per_sm` channels, the GPU kernel on the rest (8 and 72
+    /// on HBM).
     Coexec(RunOpts),
     /// Collaborative LLM scenario.
     Collab(RunOpts),
@@ -399,10 +400,14 @@ fn execute(cmd: Command, out: &mut impl Write) -> io::Result<i32> {
             let outstanding = system.gpu.max_outstanding_pim_per_warp as u32;
             let channels = system.dram.channels;
             let warps = system.gpu.pim_warps_per_sm;
+            let gpu_sms = system.coexec_gpu_sms();
             writeln!(
                 out,
-                "coexec {g} (72 SMs) + {p} (8 SMs), {} under {} (scale {})",
-                opts.vc, opts.policy, opts.scale
+                "coexec {g} ({gpu_sms} SMs) + {p} ({} SMs), {} under {} (scale {})",
+                system.pim_sms(),
+                opts.vc,
+                opts.policy,
+                opts.scale
             )?;
             // Standalone baselines for the metrics.
             let solo = Runner::new(system_for(&opts), PolicyKind::FrFcfs);
@@ -427,7 +432,7 @@ fn execute(cmd: Command, out: &mut impl Write) -> io::Result<i32> {
             let mut runner = Runner::new(system, opts.policy);
             runner.max_gpu_cycles = opts.budget;
             let o = runner.coexec(
-                Box::new(gpu_kernel(g, 72, opts.scale)),
+                Box::new(gpu_kernel(g, gpu_sms, opts.scale)),
                 Box::new(pim_kernel(p, channels, warps, outstanding, opts.scale)),
                 true,
             );
@@ -453,33 +458,32 @@ fn execute(cmd: Command, out: &mut impl Write) -> io::Result<i32> {
         }
         Command::Collab(opts) => {
             let system = system_for(&opts);
-            let outstanding = system.gpu.max_outstanding_pim_per_warp as u32;
             writeln!(
                 out,
                 "collaborative LLM (QKV + MHA), {} under {} (scale {})",
                 opts.vc, opts.policy, opts.scale
             )?;
             let solo = Runner::new(system_for(&opts), PolicyKind::FrFcfs);
-            let s = llm_scenario(72, 32, 4, outstanding, opts.scale);
-            let qa = match solo.standalone(Box::new(s.qkv), 8, false) {
+            let (qkv, _) = Scenario::Llm.kernels(&system, opts.scale);
+            let qa = match solo.standalone(qkv, system.pim_sms(), false) {
                 Ok(o) => o.cycles,
                 Err(e) => {
                     eprintln!("error: QKV baseline: {e}");
                     return Ok(1);
                 }
             };
-            let s = llm_scenario(72, 32, 4, outstanding, opts.scale);
-            let ma = match solo.standalone(Box::new(s.mha), 0, true) {
+            let (_, mha) = Scenario::Llm.kernels(&system, opts.scale);
+            let ma = match solo.standalone(mha, 0, true) {
                 Ok(o) => o.cycles,
                 Err(e) => {
                     eprintln!("error: MHA baseline: {e}");
                     return Ok(1);
                 }
             };
+            let (qkv, mha) = Scenario::Llm.kernels(&system, opts.scale);
             let mut runner = Runner::new(system, opts.policy);
             runner.max_gpu_cycles = opts.budget;
-            let s = llm_scenario(72, 32, 4, outstanding, opts.scale);
-            match runner.collaborative(Box::new(s.qkv), Box::new(s.mha)) {
+            match runner.collaborative(qkv, mha) {
                 Ok(o) => {
                     writeln!(
                         out,

@@ -280,7 +280,7 @@ impl Crossbar {
 
     /// Advances the crossbar over a span of cycles it is known to be
     /// quiet, the interconnect mirror of the controller's
-    /// `quiet_replay_span`: returns `true` — and is exactly equivalent to
+    /// `replay_span`: returns `true` — and is exactly equivalent to
     /// calling [`Crossbar::step`] once per cycle of the span — iff the
     /// crossbar buffers nothing.
     ///

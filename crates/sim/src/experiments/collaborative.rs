@@ -26,14 +26,15 @@ pub enum Scenario {
 }
 
 impl Scenario {
-    /// The GPU kernel (on every SM above the first 8) and the PIM kernel
-    /// (one warp per channel) for `system` at `scale`.
-    fn kernels(
+    /// The GPU kernel (on the SMs the PIM kernel leaves,
+    /// [`SystemConfig::coexec_gpu_sms`]) and the PIM kernel (one warp per
+    /// channel) for `system` at `scale`.
+    pub fn kernels(
         self,
         system: &SystemConfig,
         scale: f64,
     ) -> (Box<dyn KernelModel>, Box<dyn KernelModel>) {
-        let gpu_sms = system.gpu.num_sms - 8;
+        let gpu_sms = system.coexec_gpu_sms();
         let channels = system.dram.channels;
         let warps = system.gpu.pim_warps_per_sm;
         let outstanding = system.gpu.max_outstanding_pim_per_warp as u32;
@@ -125,7 +126,7 @@ pub fn run_collaborative(
     let mut solo_runner = Runner::new(system.clone(), PolicyKind::FrFcfs);
     solo_runner.max_gpu_cycles = budget * 4;
     let (gpu, _) = scenario.kernels(system, scale);
-    let gpu_alone = solo_runner.standalone(gpu, 8, false)?.cycles;
+    let gpu_alone = solo_runner.standalone(gpu, system.pim_sms(), false)?.cycles;
     let (_, pim) = scenario.kernels(system, scale);
     let pim_alone = solo_runner.standalone(pim, 0, true)?.cycles;
 

@@ -56,10 +56,13 @@ impl CompetitiveConfig {
 pub struct Baselines {
     /// GPU kernel alone on 80 SMs (speedup reference), GPU cycles.
     pub gpu80: HashMap<u8, u64>,
-    /// GPU kernel alone on 72 SMs (arrival-rate reference and Figure 5's
-    /// no-contention bar), GPU cycles and MEM arrival rate.
+    /// GPU kernel alone on its co-execution SMs
+    /// ([`SystemConfig::coexec_gpu_sms`]: 72 on HBM; the arrival-rate
+    /// reference and Figure 5's no-contention bar), GPU cycles and MEM
+    /// arrival rate.
     pub gpu72: HashMap<u8, (u64, f64)>,
-    /// PIM kernel alone on 8 SMs, GPU cycles.
+    /// PIM kernel alone on its SMs ([`SystemConfig::pim_sms`]: 8 on HBM),
+    /// GPU cycles.
     pub pim8: HashMap<u8, u64>,
 }
 
@@ -82,8 +85,8 @@ pub struct CompetitivePoint {
     pub fairness: f64,
     /// System throughput.
     pub throughput: f64,
-    /// MEM arrival rate at the MC, normalized to the GPU kernel's 72-SM
-    /// standalone rate (Figure 6).
+    /// MEM arrival rate at the MC, normalized to the GPU kernel's
+    /// standalone rate on its co-execution SMs (Figure 6).
     pub mem_arrival_ratio: f64,
     /// Completed mode switches.
     pub switches: u64,
@@ -154,6 +157,7 @@ pub fn run_baselines(cfg: &CompetitiveConfig) -> Result<Baselines, CycleBudgetEx
     let channels = system.dram.channels;
     let warps = system.gpu.pim_warps_per_sm;
     let outstanding = system.gpu.max_outstanding_pim_per_warp as u32;
+    let (pim_sms, gpu_sms) = (system.pim_sms(), system.coexec_gpu_sms());
     #[derive(Clone, Copy)]
     enum Job {
         Gpu80(GpuBenchmark),
@@ -175,7 +179,9 @@ pub fn run_baselines(cfg: &CompetitiveConfig) -> Result<Baselines, CycleBudgetEx
         runner.max_gpu_cycles = budget * 4;
         let out = match job {
             Job::Gpu80(b) => runner.standalone(Box::new(gpu_kernel(b, 80, scale)), 0, false),
-            Job::Gpu72(b) => runner.standalone(Box::new(gpu_kernel(b, 72, scale)), 8, false),
+            Job::Gpu72(b) => {
+                runner.standalone(Box::new(gpu_kernel(b, gpu_sms, scale)), pim_sms, false)
+            }
             Job::Pim(b) => runner.standalone(
                 Box::new(pim_kernel(b, channels, warps, outstanding, scale)),
                 0,
@@ -215,6 +221,7 @@ pub fn run_competitive(cfg: &CompetitiveConfig) -> Result<CompetitiveReport, Cyc
     let channels = system.dram.channels;
     let warps = system.gpu.pim_warps_per_sm;
     let outstanding = system.gpu.max_outstanding_pim_per_warp as u32;
+    let gpu_sms = system.coexec_gpu_sms();
     let mut jobs = Vec::new();
     for &vc in &cfg.vcs {
         for &policy in &cfg.policies {
@@ -234,7 +241,7 @@ pub fn run_competitive(cfg: &CompetitiveConfig) -> Result<CompetitiveReport, Cyc
         let mut runner = Runner::new(system, policy);
         runner.max_gpu_cycles = budget;
         let out = runner.coexec(
-            Box::new(gpu_kernel(g, 72, scale)),
+            Box::new(gpu_kernel(g, gpu_sms, scale)),
             Box::new(pim_kernel(p, channels, warps, outstanding, scale)),
             true,
         );

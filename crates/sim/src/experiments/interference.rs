@@ -1,10 +1,11 @@
-//! Figure 5: average slowdown of the Rodinia suite on 72 SMs when
-//! co-executing with memory-intensive GPU kernels vs. a PIM kernel.
+//! Figure 5: average slowdown of the Rodinia suite on the SMs a PIM
+//! kernel leaves (72 on HBM) when co-executing with memory-intensive GPU
+//! kernels vs. a PIM kernel.
 //!
 //! The co-runners are the paper's picks: G4 (interconnect rate), G6
-//! (BLP), G15 (DRAM rate), G17 (RBHR) on 8 SMs, and the PIM kernel P1.
-//! The "72 SMs, no contention" bar isolates the SM-loss effect from
-//! memory contention.
+//! (BLP), G15 (DRAM rate), G17 (RBHR) on the PIM kernel's SMs (8 on
+//! HBM), and the PIM kernel P1. The "72 SMs, no contention" bar isolates
+//! the SM-loss effect from memory contention.
 
 use pimsim_core::PolicyKind;
 use pimsim_types::SystemConfig;
@@ -23,14 +24,14 @@ use super::sweep::parallel_map;
 pub struct InterferenceBar {
     /// Co-runner label (`none (72 SMs)`, `G4 (cfd)`, …, `P1 (Stream Add)`).
     pub corunner: String,
-    /// Average speedup of the Rodinia suite on 72 SMs, normalized to its
-    /// 80-SM standalone time.
+    /// Average speedup of the Rodinia suite on its co-execution SMs,
+    /// normalized to its 80-SM standalone time.
     pub avg_speedup: f64,
 }
 
 /// Runs the Figure 5 experiment.
 ///
-/// For every Rodinia kernel (on 72 SMs) × co-runner (on 8 SMs), measures
+/// For every Rodinia kernel (on 72 SMs on HBM) × co-runner (on 8), measures
 /// the victim's first-run time and normalizes to its 80-SM standalone run.
 ///
 /// # Errors
@@ -66,6 +67,7 @@ pub fn run_interference(
     let channels = system.dram.channels;
     let warps = system.gpu.pim_warps_per_sm;
     let outstanding = system.gpu.max_outstanding_pim_per_warp as u32;
+    let (pim_sms, gpu_sms) = (system.pim_sms(), system.coexec_gpu_sms());
 
     let mut jobs = Vec::new();
     for (vi, &v) in victims.iter().enumerate() {
@@ -77,15 +79,15 @@ pub fn run_interference(
     let speedups = parallel_map(jobs, move |(vi, v, ci, c)| {
         let mut r = Runner::new(sys.clone(), PolicyKind::FrFcfs);
         r.max_gpu_cycles = budget;
-        let victim = Box::new(gpu_kernel(v, 72, scale));
+        let victim = Box::new(gpu_kernel(v, gpu_sms, scale));
         let contended = match c {
             Corunner::None => {
-                // 72 SMs, no contention: standalone run on 72 SMs.
+                // No contention: the victim alone on its own SMs.
                 r.max_gpu_cycles = budget * 4;
-                r.standalone(victim, 8, false)?.cycles
+                r.standalone(victim, pim_sms, false)?.cycles
             }
             Corunner::Gpu(g) => {
-                let co = Box::new(gpu_kernel(g, 8, scale * 0.5));
+                let co = Box::new(gpu_kernel(g, pim_sms, scale * 0.5));
                 r.coexec(victim, co, false).gpu_first_run
             }
             Corunner::Pim(p) => {
@@ -99,7 +101,7 @@ pub fn run_interference(
     let labels: Vec<String> = corunners
         .iter()
         .map(|c| match c {
-            Corunner::None => "none (72 SMs)".to_owned(),
+            Corunner::None => format!("none ({gpu_sms} SMs)"),
             Corunner::Gpu(g) => g.to_string(),
             Corunner::Pim(p) => p.to_string(),
         })

@@ -50,7 +50,7 @@ pub struct PartitionStats {
 /// — next needs a live visit: one bound per clock domain, `None` where
 /// that domain has nothing pending. Until both bounds pass, stepping the
 /// partition changes nothing but its controller's stats integrals, which
-/// [`MemoryController::quiet_replay_span`] replays in bulk.
+/// [`MemoryController::replay_span`] replays in bulk.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Horizon {
     /// GPU cycle at which an L2 hit pipeline releases its next reply.
@@ -449,24 +449,22 @@ impl Partition {
     }
 
     /// Steps `ticks` DRAM cycles starting at `first` — replaying the
-    /// whole span in O(1) through the controller's stall memo when
+    /// whole span at once inside the controller's replay window when
     /// nothing else in the partition needs per-tick servicing, else
     /// falling back to per-tick [`Partition::step_dram`].
     ///
     /// The gate is exact: with the L2→DRAM port empty there is nothing to
-    /// ingest, and [`MemoryController::quiet_replay_span`] itself refuses
-    /// when a completion falls due inside the span (per-tick stepping
-    /// would pop it at its exact cycle) or when the controller could go
-    /// idle mid-span.
+    /// ingest, and [`MemoryController::replay_span`] itself refuses when
+    /// the span leaves the window, when a completion falls due inside it
+    /// (per-tick stepping would pop it at its exact cycle) or when the
+    /// controller could go idle mid-span.
     pub fn step_dram_span(&mut self, first: Cycle, ticks: u64, mapper: &AddressMapper) {
         if ticks == 0 {
             return;
         }
-        if self.to_dram.is_empty()
-            && (self.mc.quiet_replay_span(first, ticks) || self.mc.plan_replay_span(first, ticks))
-        {
-            // Neither bulk replay pops a MEM completion: both refuse a
-            // span in which one falls due.
+        if self.to_dram.is_empty() && self.mc.replay_span(first, ticks) {
+            // A replayed span pops no MEM completion: the replay refuses
+            // a span in which one falls due.
             return;
         }
         for now in first..first + ticks {

@@ -280,8 +280,8 @@ impl MemoryStage {
     /// most the DRAM bound it returned: no partition answered a horizon
     /// inside the span, which it only does with its ports and wires
     /// empty and its controller idle or inside a stall window covering
-    /// the span — so the per-partition replay is the O(1)
-    /// [`pimsim_core::MemoryController::quiet_replay_span`] path, or
+    /// the span — so the per-partition replay is the bulk
+    /// [`pimsim_core::MemoryController::replay_span`] path, or
     /// nothing for an idle controller
     /// ([`crate::partition::Partition::step_dram_span`] falls back to
     /// exact per-tick stepping where the controller goes idle

@@ -531,6 +531,18 @@ impl SystemConfig {
         self.cache.line_bytes
     }
 
+    /// SMs a PIM kernel occupies: one warp per channel,
+    /// `gpu.pim_warps_per_sm` warps to an SM (8 on Table I's 32 channels).
+    pub fn pim_sms(&self) -> usize {
+        self.dram.channels / self.gpu.pim_warps_per_sm
+    }
+
+    /// SMs the GPU kernel of a co-execution takes: every SM the PIM
+    /// kernel beside it leaves (72 of Table I's 80).
+    pub fn coexec_gpu_sms(&self) -> usize {
+        self.gpu.num_sms - self.pim_sms()
+    }
+
     /// Ratio of DRAM clock to GPU clock, used by the two-domain stepper.
     pub fn dram_per_gpu_cycle(&self) -> f64 {
         self.dram.clock_mhz / self.gpu.core_clock_mhz

@@ -49,12 +49,21 @@ cargo test -q --release --test fast_forward
 # names and agree on the error dialect, every registered backend must be
 # reachable from the CLI, and a short LP5X run must complete end to end —
 # the whole chain spec string → registry → SystemConfig → simulator.
+# Co-execution and collaborative runs also complete on the smallest and
+# largest rank counts, whose SM split (`SystemConfig::pim_sms`) differs
+# from HBM's 72 + 8.
 cargo test -q --release --test backend_registry
 # grep -q exits at the first match and closes the pipe; the CLI treats
 # the closed pipe as a normal end (exit 0, nothing on stderr).
 cargo run -q --release -p pimsim-cli --bin pimsim -- list | grep -q "lp5x"
 cargo run -q --release -p pimsim-cli --bin pimsim -- \
   standalone --pim P1 --dram lp5x:ranks=4 --scale 0.01 >/dev/null
+for dram in lp5x:ranks=2 lp5x:ranks=8; do
+  cargo run -q --release -p pimsim-cli --bin pimsim -- \
+    coexec --gpu G11 --pim P4 --dram "$dram" --scale 0.01 >/dev/null
+  cargo run -q --release -p pimsim-cli --bin pimsim -- \
+    collab --dram "$dram" --scale 0.01 >/dev/null
+done
 
 # Figure smoke (crates/bench/tests/regen.rs): every row of `regen`'s
 # table renders at `--quick --scale 0.01` on its own backend and budget,
@@ -70,16 +79,17 @@ cargo test -q --release -p pimsim-bench
 # smoke when a deterministic counter moves the wrong way against
 # BENCH_hotloop.json: fewer fast-forward skips; more memory-stage,
 # reply-network or completion-stage ticks; more replayed partition
-# visits; more controller full steps; or fewer memo replays,
-# plan-retired cycles or burst plans (DESIGN.md §4g-§4k). The completion
+# visits; more controller full steps; or fewer replayed cycles of the
+# controller's replay window (stall or burst plan) or burst plans
+# (DESIGN.md §4g-§4k). The completion
 # stage collects PIM acks on every stepped cycle while a PIM kernel is
 # mounted (§4i), so on the PIM scenarios its tick count equals the
 # stepped cycles. It also fails if burst retirement disengages (zero
-# burst hit rate on standalone_pim, §4h), or if partition lag or
-# closed-form plan replay disengages (on both standalone PIM scenarios,
-# HBM and lp5x:ranks=4, the memory stage must run at least 3x fewer
-# ticks than stepped cycles and at least one burst-plan window must be
-# replayed in closed form, §4h/§4k). Tick counts are deterministic, so
+# burst hit rate on standalone_pim, §4h), or if partition lag or span
+# replay of plans disengages (on both standalone PIM scenarios, HBM and
+# lp5x:ranks=4, the memory stage must run at least 3x fewer ticks than
+# stepped cycles and `MemoryController::replay_span` must replay at
+# least one span of a plan window, §4g/§4k). Tick counts are deterministic, so
 # those gates are structural — immune to host noise. The one wall-clock
 # check is a floor of 25 000 simulated cycles/s on the profiled pass,
 # several times below the slowest scenario: it trips on asymptotic

@@ -146,3 +146,48 @@ fn rank_spellings_round_trip_through_spec_strings() {
         assert_eq!(cfg.dram.channels, 8 * ranks, "{spec}");
     }
 }
+
+/// Co-execution runs on every registered rank count: the PIM kernel
+/// takes one SM per `pim_warps_per_sm` channels and the GPU kernel the
+/// rest, so no backend asks for more SMs than the GPU has or sends a PIM
+/// op to a channel it lacks. One competitive and one collaborative run
+/// through the CLI per rank count, at a tiny scale.
+#[test]
+fn coexecution_runs_on_every_registered_rank_count() {
+    let lp5x = backend::lookup("lp5x").expect("registered").default_kind();
+    let ranks: Vec<u64> = (1..=8)
+        .filter(|&r| backend::apply_param(lp5x, "ranks", r).is_ok())
+        .collect();
+    assert!(ranks.len() >= 2, "registry lost rank counts: {ranks:?}");
+    for r in ranks {
+        let dram = format!("lp5x:ranks={r}");
+        let cfg = backend::system_config(backend::parse_spec(&dram).expect("registered"));
+        let split = format!(
+            "({} SMs) + P4 (Stream Scale) ({} SMs)",
+            cfg.coexec_gpu_sms(),
+            cfg.pim_sms()
+        );
+        assert_eq!(
+            cfg.coexec_gpu_sms() + cfg.pim_sms(),
+            cfg.gpu.num_sms,
+            "{dram}"
+        );
+        for sub in ["coexec --gpu G11 --pim P4", "collab"] {
+            let args: Vec<String> = format!("{sub} --dram {dram} --scale 0.01")
+                .split_whitespace()
+                .map(str::to_owned)
+                .collect();
+            let cmd = pimsim_cli::parse_args(&args).expect("valid invocation");
+            let mut out = Vec::new();
+            let code = pimsim_cli::run(cmd, &mut out);
+            let text = String::from_utf8(out).expect("UTF-8 output");
+            assert_eq!(code, 0, "`{sub}` on {dram} failed:\n{text}");
+            if sub.starts_with("coexec") {
+                assert!(
+                    text.contains(&split),
+                    "{dram}: banner lacks {split}:\n{text}"
+                );
+            }
+        }
+    }
+}

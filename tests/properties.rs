@@ -528,6 +528,88 @@ fn check_stall_memo_against_oracle(kinds: &[PolicyKind], mem_apps: &[AppId], see
     }
 }
 
+/// Random single-channel traffic for the burst and span oracles. Before
+/// cycle 3 000 a request arrives on 35 % of the cycles it is asked about,
+/// 40 % of them PIM ops in 4-op blocks over 8 rows; the rest are GPU MEM
+/// reads and writes at random addresses.
+struct Traffic {
+    rng: SplitMix64,
+    next_id: u64,
+    pim_block: u64,
+    pim_in_block: usize,
+}
+
+impl Traffic {
+    fn new(seed: u64) -> Self {
+        Traffic {
+            rng: SplitMix64::new(seed),
+            next_id: 0,
+            pim_block: 0,
+            pim_in_block: 0,
+        }
+    }
+
+    /// Whether a request arrives at `now`, and if so whether it is PIM.
+    fn arrival(&mut self, now: u64) -> Option<bool> {
+        (now < 3_000 && self.rng.chance(0.35)).then(|| self.rng.chance(0.4))
+    }
+
+    /// The next request of the kind `arrival` drew, once the controller
+    /// has room for it.
+    fn request(&mut self, is_pim: bool, m: &AddressMapper) -> (Request, DecodedAddr) {
+        let id = RequestId(self.next_id);
+        self.next_id += 1;
+        if !is_pim {
+            let addr = PhysAddr(self.rng.next_range(1 << 20) * 32);
+            let kind = if self.rng.chance(0.3) {
+                RequestKind::MemWrite
+            } else {
+                RequestKind::MemRead
+            };
+            return (
+                Request::new(id, AppId::GPU, kind, addr, 0, 0),
+                m.decode(addr),
+            );
+        }
+        // Last op of each block stores (a row write, exercising the
+        // burst's write-latency arm) from entry 0, which the block's first
+        // op always loaded.
+        let store = self.pim_in_block == 3;
+        let cmd = PimCommand {
+            op: if store {
+                PimOpKind::RfStore
+            } else {
+                PimOpKind::RfLoad
+            },
+            channel: 0,
+            row: (self.pim_block % 8) as u32,
+            col: (self.pim_in_block % 4) as u16,
+            rf_entry: if store {
+                0
+            } else {
+                (self.pim_in_block % 8) as u8
+            },
+            block_start: self.pim_in_block == 0,
+            block_id: self.pim_block,
+        };
+        self.pim_in_block += 1;
+        if self.pim_in_block == 4 {
+            self.pim_in_block = 0;
+            self.pim_block += 1;
+        }
+        let decoded = DecodedAddr {
+            channel: 0,
+            bank: 0,
+            row: cmd.row,
+            col: 0,
+        };
+        (
+            Request::new(id, AppId::PIM, RequestKind::Pim(cmd), PhysAddr(0), 0, 0),
+            decoded,
+        )
+    }
+}
+
 /// Closed-form burst retirement is unobservable: a controller with the
 /// burst plan and stall memo enabled (the production configuration) and
 /// one forced to schedule every cycle through the full per-cycle path
@@ -553,7 +635,7 @@ fn burst_retirement_matches_full_step_oracle() {
             let m = AddressMapper::new(&cfg.addr_map, &cfg.dram, 32);
             let mut swept_burst_ops = 0u64;
             for kind in PolicyKind::all() {
-                let mut rng = SplitMix64::new(0xB0857 ^ u64::from(refresh));
+                let mut traffic = Traffic::new(0xB0857 ^ u64::from(refresh));
                 let mut fast = MemoryController::new(&cfg, kind.build());
                 let mut oracle = MemoryController::new(&cfg, kind.build());
                 oracle.set_stall_enabled(false);
@@ -566,12 +648,8 @@ fn burst_retirement_matches_full_step_oracle() {
                 };
                 let mut fast_done = Vec::new();
                 let mut oracle_done = Vec::new();
-                let mut next_id = 0u64;
-                let mut pim_block = 0u64;
-                let mut pim_in_block = 0usize;
                 for now in 0..8_000u64 {
-                    if now < 3_000 && rng.chance(0.35) {
-                        let is_pim = rng.chance(0.4);
+                    if let Some(is_pim) = traffic.arrival(now) {
                         assert_eq!(
                             fast.can_accept(is_pim),
                             oracle.can_accept(is_pim),
@@ -579,59 +657,7 @@ fn burst_retirement_matches_full_step_oracle() {
                             ctx(now)
                         );
                         if fast.can_accept(is_pim) {
-                            let (req, decoded) = if is_pim {
-                                // Last op of each block stores (a row write,
-                                // exercising the burst's write-latency arm)
-                                // from entry 0, which the block's first op
-                                // always loaded.
-                                let store = pim_in_block == 3;
-                                let cmd = PimCommand {
-                                    op: if store {
-                                        PimOpKind::RfStore
-                                    } else {
-                                        PimOpKind::RfLoad
-                                    },
-                                    channel: 0,
-                                    row: (pim_block % 8) as u32,
-                                    col: (pim_in_block % 4) as u16,
-                                    rf_entry: if store { 0 } else { (pim_in_block % 8) as u8 },
-                                    block_start: pim_in_block == 0,
-                                    block_id: pim_block,
-                                };
-                                pim_in_block += 1;
-                                if pim_in_block == 4 {
-                                    pim_in_block = 0;
-                                    pim_block += 1;
-                                }
-                                (
-                                    Request::new(
-                                        RequestId(next_id),
-                                        AppId::PIM,
-                                        RequestKind::Pim(cmd),
-                                        PhysAddr(0),
-                                        0,
-                                        0,
-                                    ),
-                                    DecodedAddr {
-                                        channel: 0,
-                                        bank: 0,
-                                        row: cmd.row,
-                                        col: 0,
-                                    },
-                                )
-                            } else {
-                                let addr = PhysAddr(rng.next_range(1 << 20) * 32);
-                                let kind = if rng.chance(0.3) {
-                                    RequestKind::MemWrite
-                                } else {
-                                    RequestKind::MemRead
-                                };
-                                (
-                                    Request::new(RequestId(next_id), AppId::GPU, kind, addr, 0, 0),
-                                    m.decode(addr),
-                                )
-                            };
-                            next_id += 1;
+                            let (req, decoded) = traffic.request(is_pim, &m);
                             fast.enqueue(req, decoded, now);
                             oracle.enqueue(req, decoded, now);
                         }
@@ -695,6 +721,106 @@ fn burst_retirement_matches_full_step_oracle() {
             assert!(
                 swept_burst_ops > 0,
                 "{spec} refresh {refresh}: no policy ever engaged burst retirement"
+            );
+        }
+    }
+}
+
+/// Span replay is unobservable: a controller advanced through
+/// `replay_span` in spans of random length — stepping one tick wherever
+/// it refuses — and one stepped every tick see the same random traffic
+/// and end every span with identical stats, channel stats and
+/// completions in `(at, id)` order, and the same step mix apart from the
+/// span count — for every policy on both DRAM backends, with and without
+/// refresh. Spans end where traffic arrives, as ingest ends them in the
+/// simulator. Both window kinds, stalls and burst plans, must replay
+/// spans somewhere in each sweep.
+#[test]
+fn span_replay_matches_per_tick_stepping() {
+    for spec in ["hbm", "lp5x:ranks=4"] {
+        let backend = pim_coscheduling::dram::backend::parse_spec(spec).expect("registered");
+        for refresh in [false, true] {
+            let mut cfg = pim_coscheduling::dram::backend::system_config(backend);
+            if refresh {
+                cfg.timing.t_refi = 300;
+                cfg.timing.t_rfc = 40;
+            }
+            let m = AddressMapper::new(&cfg.addr_map, &cfg.dram, 32);
+            let (mut spans, mut plan_spans) = (0u64, 0u64);
+            for kind in PolicyKind::all() {
+                let mut traffic = Traffic::new(0x5BA4 ^ u64::from(refresh));
+                let mut lengths = SplitMix64::new(0x5BA5);
+                let mut ticked = MemoryController::new(&cfg, kind.build());
+                let mut spanned = MemoryController::new(&cfg, kind.build());
+                let ctx = |now: u64| {
+                    format!(
+                        "{spec} policy {} refresh {refresh} span ending {now}",
+                        kind.label()
+                    )
+                };
+                let mut ticked_done = Vec::new();
+                let mut spanned_done = Vec::new();
+                let mut now = 0u64;
+                while now < 8_000 {
+                    if let Some(is_pim) = traffic.arrival(now) {
+                        assert_eq!(
+                            ticked.can_accept(is_pim),
+                            spanned.can_accept(is_pim),
+                            "{}",
+                            ctx(now)
+                        );
+                        if ticked.can_accept(is_pim) {
+                            let (req, decoded) = traffic.request(is_pim, &m);
+                            ticked.enqueue(req, decoded, now);
+                            spanned.enqueue(req, decoded, now);
+                        }
+                    }
+                    let end = (now + 1 + lengths.next_range(24)).min(8_000);
+                    for t in now..end {
+                        ticked.step(t);
+                        ticked.pop_completions_into(t, &mut ticked_done);
+                    }
+                    let mut t = now;
+                    while t < end {
+                        if spanned.replay_span(t, end - t) {
+                            spans += 1;
+                            spanned.pop_completions_into(end - 1, &mut spanned_done);
+                            t = end;
+                        } else {
+                            spanned.step(t);
+                            spanned.pop_completions_into(t, &mut spanned_done);
+                            t += 1;
+                        }
+                    }
+                    let here = ctx(end - 1);
+                    assert_eq!(spanned.stats(), ticked.stats(), "{here}: stats skew");
+                    assert_eq!(
+                        spanned.channel_stats(),
+                        ticked.channel_stats(),
+                        "{here}: channel stats skew"
+                    );
+                    assert_eq!(spanned_done, ticked_done, "{here}: completions differ");
+                    spanned_done.clear();
+                    ticked_done.clear();
+                    now = end;
+                }
+                assert!(
+                    spanned.is_idle(now),
+                    "{}: controller failed to drain",
+                    ctx(now)
+                );
+                let span_mix = spanned.step_mix();
+                plan_spans += span_mix.plan_spans_replayed;
+                let tick_mix = pim_coscheduling::core::StepMix {
+                    plan_spans_replayed: span_mix.plan_spans_replayed,
+                    ..ticked.step_mix()
+                };
+                assert_eq!(span_mix, tick_mix, "{}: step mix differs", ctx(now));
+            }
+            assert!(
+                plan_spans > 0 && spans > plan_spans,
+                "{spec} refresh {refresh}: {spans} spans replayed, {plan_spans} of them plans; \
+                 both window kinds must replay spans"
             );
         }
     }
